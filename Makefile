@@ -142,7 +142,10 @@ check: vet vuln build race telemetry-check fault-check fuzz-check stream-check k
 # -benchmem and land in BENCH_decision.json as a test2json stream, and the
 # end-to-end IntervalThroughput* benchmarks in internal/core (10k-server
 # columns through Engine.RunSourceContext, batch vs. pinned-serial) land in
-# BENCH_interval.json. Render or compare snapshots with `go run
+# BENCH_interval.json, followed by DecideBatchExactChurn in internal/sched
+# (a 10k-server exact-quantum column against a full decision cache — the
+# default configuration's steady state; TestDecideBatchExactChurnAllocationFree
+# pins it at 0 allocs). Render or compare snapshots with `go run
 # ./cmd/h2pbenchdiff BENCH_decision.json [other.json]`; add `-threshold 10`
 # to fail on >10% ns/op regressions.
 # The ShardScaling benchmark runs the full month-scale trace once per rung of
@@ -161,6 +164,8 @@ bench:
 	$(GO) run ./cmd/h2pbench -bench-env > BENCH_interval.json
 	$(GO) test -run '^$$' -bench IntervalThroughput -benchmem -count=1 -json \
 		./internal/core >> BENCH_interval.json
+	$(GO) test -run '^$$' -bench DecideBatchExactChurn -benchmem -count=1 -json \
+		./internal/sched >> BENCH_interval.json
 	$(GO) run ./cmd/h2pbench -bench-env > BENCH_shard.json
 	$(GO) test -run '^$$' -bench ShardScaling -benchmem -benchtime 1x -count=1 -json \
 		./internal/shard >> BENCH_shard.json

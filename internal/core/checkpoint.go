@@ -31,9 +31,11 @@ const CheckpointVersion = 1
 //   - The fault injector needs no state at all: activation is a pure
 //     function of (seed, stream, unit, interval), so the resumed run asks
 //     the same questions and gets the same answers (see fault.Injector).
-//   - CacheKeys lists the controller's memoized decision planes. The cache
-//     is a pure function of the plane, so the keys are purely a warm-start
-//     performance hint; results are bit-identical with or without them.
+//   - CacheKeys lists the controller's memoized decision planes — never
+//     more than the cache's entry cap (16,384), however long the run. The
+//     cache is a pure function of the plane and the cold side, so the keys
+//     are purely a warm-start performance hint, recomputed at the resume
+//     interval's cold side; results are bit-identical with or without them.
 //   - Series retains the per-interval results when the run keeps its series
 //     (RunOptions.KeepSeries), so a resumed run can still render the full
 //     interval series byte-identically.

@@ -109,7 +109,10 @@ type Config struct {
 	DisableBatch bool
 	// DecisionQuantum is the cooling controller's plane-utilization cache
 	// quantum (sched.Controller.CacheQuantum). 0 — the default, and the
-	// paper-faithful setting — memoizes exact planes only; a positive
+	// paper-faithful setting — memoizes exact planes only: they rarely
+	// repeat, so the cache fills to its fixed entry cap (16,384) early in a
+	// run and later planes are computed without being cached, keeping
+	// memory and per-decision cost flat however long the run. A positive
 	// quantum (e.g. 1/512) makes revisited planes hit the cache at the
 	// cost of a sub-quantum perturbation of the chosen setting.
 	DecisionQuantum float64
@@ -459,6 +462,14 @@ func newEngineWithSpace(cfg Config, space *lookup.Space) (*Engine, error) {
 // Controller exposes the engine's cooling controller (used by benches and
 // ablations).
 func (e *Engine) Controller() *sched.Controller { return e.controller }
+
+// warmCache re-memoizes checkpointed cache keys for a run resuming at
+// interval. Decisions are cached per (plane, cold side), so the keys are
+// warmed at the cold side the environment gives that interval — the one
+// its first lookups will use.
+func (e *Engine) warmCache(keys []uint64, interval int) {
+	e.controller.WarmCache(keys, e.env.At(interval).ColdSide)
+}
 
 // circulations partitions nServers into Config.ServersPerCirculation-sized
 // circulations (the last one may be short) and wires each one.

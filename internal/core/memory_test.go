@@ -29,42 +29,50 @@ func measureRunAllocs(t *testing.T, eng *Engine, gcfg trace.GeneratorConfig, see
 }
 
 // TestStreamingSteadyStateAllocs pins the bounded-memory claim at the
-// allocator level: on a warm serial engine with a quantized decision cache
-// (1/512 bounds the number of distinct cache entries), a streaming run's
-// allocations come only from residual cache fills — they are bounded by the
-// cache size, not proportional to the trace length. A 10x longer trace must
-// therefore stay under the same constant ceiling, orders of magnitude below
-// one allocation per interval.
+// allocator level: on a warm serial engine, a streaming run's allocations
+// come only from residual cache fills — they are bounded by the cache size,
+// not proportional to the trace length. A 10x longer trace must therefore
+// stay under the same constant ceiling, orders of magnitude below one
+// allocation per interval. Both cache regimes are pinned: a 1/512 quantum
+// bounds the distinct entries, and the exact quantum (the default), where
+// nearly every plane is fresh, relies on the cache's entry cap — once full,
+// the cache stops allocating.
 func TestStreamingSteadyStateAllocs(t *testing.T) {
-	cfg := smallConfig(sched.Original)
-	cfg.Workers = 1
-	cfg.DecisionQuantum = 1.0 / 512
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := trace.DrasticConfig(60)
-	g.Horizon = 12 * time.Hour // 144 intervals
+	for _, quantum := range []float64{1.0 / 512, 0} {
+		cfg := smallConfig(sched.Original)
+		cfg.Workers = 1
+		cfg.DecisionQuantum = quantum
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if quantum == 0 {
+			fillDecisionCache(t, eng.Controller())
+		}
+		g := trace.DrasticConfig(60)
+		g.Horizon = 12 * time.Hour // 144 intervals
 
-	// First run warms the decision cache and any lazily built engine state.
-	measureRunAllocs(t, eng, g, 1011)
-	short := measureRunAllocs(t, eng, g, 1011)
+		// First run warms the decision cache and any lazily built engine state.
+		measureRunAllocs(t, eng, g, 1011)
+		short := measureRunAllocs(t, eng, g, 1011)
 
-	g.Horizon = 120 * time.Hour // 1440 intervals: 10x longer
-	long := measureRunAllocs(t, eng, g, 1011)
+		g.Horizon = 120 * time.Hour // 1440 intervals: 10x longer
+		long := measureRunAllocs(t, eng, g, 1011)
 
-	// The quantized cache admits at most ~513 distinct plane keys, so even a
-	// run that visits every plane cold stays under ~1024 allocations. Seen
-	// empirically: short ~16, long ~190 — the bound leaves headroom for
-	// allocator noise without ever tolerating per-interval growth (1440
-	// intervals would blow through it at 1 alloc/interval).
-	const ceiling = 1024
-	if short > ceiling || long > ceiling {
-		t.Fatalf("warm streaming run allocations exceed constant ceiling: short=%d long=%d ceiling=%d",
-			short, long, ceiling)
-	}
-	if perInterval := float64(long) / 1440; perInterval > 0.5 {
-		t.Fatalf("long run allocates %.2f/interval; steady state must be amortized-free", perInterval)
+		// The quantized cache admits at most ~513 distinct plane keys, so even
+		// a run that visits every plane cold stays under ~1024 allocations.
+		// Seen empirically: short ~16, long ~190 — the bound leaves headroom
+		// for allocator noise without ever tolerating per-interval growth
+		// (1440 intervals would blow through it at 1 alloc/interval).
+		const ceiling = 1024
+		if short > ceiling || long > ceiling {
+			t.Fatalf("quantum %v: warm streaming run allocations exceed constant ceiling: short=%d long=%d ceiling=%d",
+				quantum, short, long, ceiling)
+		}
+		if perInterval := float64(long) / 1440; perInterval > 0.5 {
+			t.Fatalf("quantum %v: long run allocates %.2f/interval; steady state must be amortized-free",
+				quantum, perInterval)
+		}
 	}
 }
 

@@ -95,5 +95,6 @@ func (r *ShardRunner) CacheKeys() []uint64 { return r.eng.controller.CacheKeys()
 func (r *ShardRunner) CacheStats() (hits, calls uint64) { return r.eng.controller.CacheStats() }
 
 // WarmCache re-memoizes previously listed keys on the shard's own decision
-// cache; best-effort, results are unaffected.
-func (r *ShardRunner) WarmCache(keys []uint64) { r.eng.controller.WarmCache(keys) }
+// cache at the environment's cold side for the resumed interval;
+// best-effort, results are unaffected.
+func (r *ShardRunner) WarmCache(keys []uint64, interval int) { r.eng.warmCache(keys, interval) }

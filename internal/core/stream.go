@@ -117,7 +117,7 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source, opts *R
 		for ci := range circs {
 			circs[ci].sensor.SetState(cp.Sensors[ci])
 		}
-		e.controller.WarmCache(cp.CacheKeys)
+		e.warmCache(cp.CacheKeys, start)
 		if err := trace.Skip(src, start); err != nil {
 			return nil, err
 		}

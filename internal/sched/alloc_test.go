@@ -72,6 +72,26 @@ func TestDecideIntoAllocationFree(t *testing.T) {
 	}
 }
 
+// TestDecideBatchExactChurnAllocationFree pins the default configuration's
+// steady state: with the exact quantum and a full decision cache, every
+// plane misses and is declined by the cache, and an interval over a 10k
+// column — the BenchmarkDecideBatchExactChurn workload — allocates nothing.
+func TestDecideBatchExactChurnAllocationFree(t *testing.T) {
+	ch := newExactChurn(t)
+	ch.decide(t, ch.cols[0])
+	i := 0
+	allocs := testing.AllocsPerRun(len(ch.cols), func() {
+		ch.decide(t, ch.cols[i%len(ch.cols)])
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("exact-churn DecideBatch = %v allocs/op, want 0", allocs)
+	}
+	if got := ch.c.CacheLen(); got != cacheCap {
+		t.Errorf("CacheLen = %d, want the cap %d", got, cacheCap)
+	}
+}
+
 // TestCacheStatsAllocationFree verifies the atomic counters never allocate
 // (and, being lock-free, can run concurrently with Choose — the -race
 // coverage lives in TestDecisionCacheConcurrentStores).

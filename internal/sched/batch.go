@@ -63,7 +63,8 @@ type BatchScratch struct {
 
 	// Per-unique-key state, one entry per distinct key among the valid
 	// groups, sorted ascending. published starts true for keys already in
-	// the cache and flips true when the first group scatters a miss back.
+	// the cache and flips true when the first group scatters a miss back
+	// and the cache accepts it.
 	uniq      []uint64
 	published []bool
 	uSetting  []Setting
@@ -261,18 +262,19 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		key := bs.keys[g]
 		j, _ := slices.BinarySearch(bs.uniq, key)
 		hint := bucketOf(key)
-		c.calls.AddHint(hint, 1)
+		c.countCall(hint)
 		if !bs.published[j] {
 			if err := bs.uErr[j]; err != nil {
 				return GroupError{Group: g, Err: err}
 			}
-			c.cache.store(key, cb, bs.uSetting[j], bs.uPower[j], bs.uCell[j])
-			c.inserts.AddHint(hint, 1)
-			bs.published[j] = true
+			// A full cache declines the entry; the plane then stays
+			// unpublished, so a later group on it counts as the miss a
+			// per-group Choose would see.
+			bs.published[j] = c.cache.store(key, cb, bs.uSetting[j], bs.uPower[j], bs.uCell[j])
+			c.account(hint, false, bs.published[j], bs.uSetting[j])
 		} else {
-			c.hits.AddHint(hint, 1)
+			c.account(hint, true, false, bs.uSetting[j])
 		}
-		c.observeChoice(hint, bs.uSetting[j])
 
 		n := r.Hi - r.Lo
 		sc := scratches[g]

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/h2p-sim/h2p/internal/cpu"
@@ -13,22 +14,87 @@ import (
 // profile are tracked across PRs (make bench writes them to
 // BENCH_decision.json).
 
-func benchController(b *testing.B) *Controller {
-	b.Helper()
+func benchController(tb testing.TB) *Controller {
+	tb.Helper()
 	space, err := lookup.Build(cpu.XeonE52650V3(), lookup.DefaultAxes())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	mod, err := teg.NewModule(teg.SP1848(), 12)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	mod.FlowDerating = teg.DefaultFlowDerating()
 	c, err := NewController(space, mod, 20)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return c
+}
+
+// exactChurn is the default (exact-quantum) regime after a run's first few
+// thousand decisions: a controller whose cache is already full of earlier
+// planes, and a ring of fresh 10k-server columns in 25-server groups whose
+// planes it has never seen, so every group misses and nothing is cached.
+type exactChurn struct {
+	c         *Controller
+	cols      [][]float64
+	ranges    []Range
+	bs        BatchScratch
+	scratches []*Scratch
+	out       []Decision
+}
+
+func newExactChurn(tb testing.TB) *exactChurn {
+	tb.Helper()
+	const servers, width, ring = 10000, 25, 8
+	ch := &exactChurn{c: benchController(tb)}
+	for lo := 0; lo < servers; lo += width {
+		ch.ranges = append(ch.ranges, Range{Lo: lo, Hi: lo + width})
+		ch.scratches = append(ch.scratches, &Scratch{})
+	}
+	ch.out = make([]Decision, len(ch.ranges))
+	rng := rand.New(rand.NewSource(1))
+	column := func() []float64 {
+		col := make([]float64, servers)
+		for i := range col {
+			col[i] = rng.Float64()
+		}
+		return col
+	}
+	// Decide more planes than the cap holds before the ring is drawn.
+	for n := 0; n <= cacheCap; n += len(ch.ranges) {
+		ch.decide(tb, column())
+	}
+	if got := ch.c.CacheLen(); got != cacheCap {
+		tb.Fatalf("warm-up left %d cache entries, want the cap %d", got, cacheCap)
+	}
+	for i := 0; i < ring; i++ {
+		ch.cols = append(ch.cols, column())
+	}
+	return ch
+}
+
+func (ch *exactChurn) decide(tb testing.TB, col []float64) {
+	if err := ch.c.DecideBatch(col, ch.ranges, Original, &ch.bs, ch.scratches, ch.out); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkDecideBatchExactChurn measures one 10k-server interval of the
+// default configuration once the decision cache is full: every plane is new,
+// so each group pays the slab scan, and the full cache must add neither
+// allocations nor longer probes (make bench writes it to
+// BENCH_interval.json).
+func BenchmarkDecideBatchExactChurn(b *testing.B) {
+	ch := newExactChurn(b)
+	ch.decide(b, ch.cols[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.decide(b, ch.cols[i%len(ch.cols)])
+	}
+	b.ReportMetric(float64(len(ch.cols[0])), "servers/op")
 }
 
 // BenchmarkDecisionChooseMiss measures the uncached Steps 1-3: every

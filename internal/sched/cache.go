@@ -27,12 +27,24 @@ import (
 //
 // Settings are a pure function of (plane, cold side), so two workers racing
 // to fill the same key compute identical values and either insert is
-// correct; the CAS loop re-checks the chain to keep duplicates out. The
-// table never grows: distinct planes are bounded by the quantum (or by the
-// trace's distinct utilization means) and distinct colds by the environment
-// source's quantization grid, and an overfull bucket only degrades into a
-// longer — still correct — chain walk.
+// correct; the CAS loop re-checks the chain to keep duplicates out.
+//
+// The table never grows past cacheCap entries. Under a positive quantum the
+// distinct planes are bounded by the quantum and the colds by the
+// environment source's quantization grid, so a quantized run settles far
+// below the cap. In the exact quantum (the default) nearly every interval
+// brings fresh planes, and an unbounded table would lengthen its chains —
+// and every probe — without limit. Once cacheCap entries are published,
+// store becomes a no-op: later planes are recomputed instead of cached, and
+// load stays a walk over chains averaging cacheCap/cacheBuckets entries. The
+// trade is that a quantized seasonal run with more than cacheCap distinct
+// (plane, cold) pairs recomputes the overflow. Results never depend on it:
+// the key is exact and the value a pure function of the key.
 const cacheBuckets = 1 << 12
+
+// cacheCap is the hard bound on published entries: four per bucket on
+// average, about 1 MB of entries.
+const cacheCap = 4 * cacheBuckets
 
 // cacheEntry is one memoized Choose outcome in a bucket chain. key holds
 // math.Float64bits of the quantized plane and cold the bits of the cold-side
@@ -54,6 +66,9 @@ type cacheEntry struct {
 // use.
 type decisionCache struct {
 	buckets [cacheBuckets]atomic.Pointer[cacheEntry]
+	// n counts reserved slots: published entries plus inserts in flight.
+	// reserve never lets it pass cacheCap.
+	n atomic.Int64
 }
 
 // bucketOf spreads the 64 key bits over the buckets with a Fibonacci hash:
@@ -84,25 +99,50 @@ func (dc *decisionCache) load(key, cold uint64) (Setting, units.Watts, int32, bo
 	return Setting{}, 0, 0, false
 }
 
-// store publishes a freshly computed outcome. Exactly one allocation; lost
-// CAS races re-check the chain so a (plane, cold) pair is inserted at most
-// once.
-func (dc *decisionCache) store(key, cold uint64, setting Setting, power units.Watts, cell int32) {
+// store publishes a freshly computed outcome and reports whether it did.
+// It reserves a slot before publishing, so the entry count never passes
+// cacheCap even under concurrent workers; a full table makes it a no-op
+// that neither allocates nor writes shared memory. Otherwise exactly one
+// allocation; lost CAS races re-check the chain so a (plane, cold) pair is
+// inserted at most once, and a racer that finds its key already published
+// releases its slot.
+func (dc *decisionCache) store(key, cold uint64, setting Setting, power units.Watts, cell int32) bool {
+	if !dc.reserve() {
+		return false
+	}
 	b := &dc.buckets[cacheBucket(key, cold)]
 	e := &cacheEntry{key: key, cold: cold, setting: setting, power: power, cell: cell}
 	for {
 		head := b.Load()
 		for cur := head; cur != nil; cur = cur.next {
 			if cur.key == key && cur.cold == cold {
-				return // another worker published it first
+				dc.n.Add(-1) // another worker published it first
+				return false
 			}
 		}
 		e.next = head
 		if b.CompareAndSwap(head, e) {
-			return
+			return true
 		}
 	}
 }
+
+// reserve claims one of the cacheCap slots, failing once all are taken.
+func (dc *decisionCache) reserve() bool {
+	for {
+		n := dc.n.Load()
+		if n >= cacheCap {
+			return false
+		}
+		if dc.n.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// entries reports the published entry count (plus inserts in flight)
+// without walking a chain.
+func (dc *decisionCache) entries() int { return int(dc.n.Load()) }
 
 // keys collects every memoized plane key, sorted ascending and deduplicated
 // (one plane may be cached against several cold sides) so the listing is

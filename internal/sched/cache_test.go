@@ -184,3 +184,228 @@ func TestBucketOfSpreadsQuantizedPlanes(t *testing.T) {
 		t.Errorf("worst bucket holds %d planes, want <= 8", worst)
 	}
 }
+
+// fillKey is the i-th synthetic key of the bound tests: the bits of
+// i/(3·cacheCap), distinct for every i and a valid plane below 3·cacheCap.
+func fillKey(i int) uint64 { return math.Float64bits(float64(i) / (3 * cacheCap)) }
+
+// TestDecisionCacheCapBound pins the hard entry cap: once cacheCap entries
+// are published, store declines further keys without touching the table,
+// entries already held keep hitting, and the chains stay short.
+func TestDecisionCacheCapBound(t *testing.T) {
+	var dc decisionCache
+	cold := math.Float64bits(20)
+	for i := 0; i < cacheCap; i++ {
+		if !dc.store(fillKey(i), cold, Setting{Flow: 1}, 1, int32(i)) {
+			t.Fatalf("store %d declined below the cap", i)
+		}
+	}
+	if dc.store(fillKey(0), cold, Setting{}, 0, 0) {
+		t.Error("duplicate store reported an insert")
+	}
+	for i := cacheCap; i < 2*cacheCap; i++ {
+		if dc.store(fillKey(i), cold, Setting{Flow: 1}, 1, int32(i)) {
+			t.Fatalf("store %d accepted past the cap", i)
+		}
+	}
+	if got := dc.entries(); got != cacheCap {
+		t.Errorf("entries = %d, want the cap %d", got, cacheCap)
+	}
+	if got := len(dc.keys()); got != cacheCap {
+		t.Errorf("keys = %d, want %d", got, cacheCap)
+	}
+	if _, _, cell, ok := dc.load(fillKey(7), cold); !ok || cell != 7 {
+		t.Errorf("entry stored below the cap lost: cell %d ok %v", cell, ok)
+	}
+	if _, _, _, ok := dc.load(fillKey(cacheCap), cold); ok {
+		t.Error("key declined at the cap is served")
+	}
+	chained, longest := 0, 0
+	for b := range dc.buckets {
+		n := 0
+		for e := dc.buckets[b].Load(); e != nil; e = e.next {
+			n++
+		}
+		chained += n
+		longest = max(longest, n)
+	}
+	if chained != cacheCap {
+		t.Errorf("chains hold %d entries, counter says %d", chained, cacheCap)
+	}
+	if longest > 32 {
+		t.Errorf("longest chain %d entries; the cap should keep probes short", longest)
+	}
+}
+
+// TestDecisionCacheConcurrentCap races many writers over more distinct and
+// shared keys than the cap holds (run under -race by make check): a watcher
+// must never see the entry count pass the cap, and the table must end with
+// exactly cacheCap entries, each published once.
+func TestDecisionCacheConcurrentCap(t *testing.T) {
+	var dc decisionCache
+	cold := math.Float64bits(20)
+	const goroutines = 8
+	stop := make(chan struct{})
+	watched := make(chan int)
+	go func() {
+		peak := 0
+		for {
+			select {
+			case <-stop:
+				watched <- peak
+				return
+			default:
+				peak = max(peak, dc.entries())
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			// Half the keys are shared by every writer (duplicate races),
+			// half are the writer's own.
+			for i := 0; i < cacheCap/2; i++ {
+				dc.store(fillKey(i), cold, Setting{}, 0, int32(i))
+				dc.store(fillKey(cacheCap+g*cacheCap/2+i), cold, Setting{}, 0, 0)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	if peak := <-watched; peak > cacheCap {
+		t.Errorf("entry count peaked at %d, past the cap %d", peak, cacheCap)
+	}
+	if got := dc.entries(); got != cacheCap {
+		t.Errorf("entries = %d after the race, want the cap %d", got, cacheCap)
+	}
+	seen := make(map[uint64]bool)
+	for b := range dc.buckets {
+		for e := dc.buckets[b].Load(); e != nil; e = e.next {
+			if seen[e.key] {
+				t.Fatalf("key %x published twice", e.key)
+			}
+			seen[e.key] = true
+		}
+	}
+	if len(seen) != cacheCap {
+		t.Errorf("chains hold %d entries, counter says %d", len(seen), cacheCap)
+	}
+}
+
+// fillToCap publishes entries at a cold side no decision uses until the
+// controller's cache holds n of them, so every real lookup afterwards misses.
+func fillToCap(c *Controller, n int) {
+	dummy := math.Float64bits(-273)
+	for i := 0; c.CacheLen() < n; i++ {
+		c.cache.store(fillKey(i), dummy, Setting{}, 0, 0)
+	}
+}
+
+// TestControllerCacheFullStaysExact drives a controller through the cap:
+// the last free slot takes one decision, later decisions are computed but
+// not cached, CacheLen and the entries gauge stop at the cap, and every
+// decision still matches a fresh controller's bit for bit.
+func TestControllerCacheFullStaysExact(t *testing.T) {
+	c := newController(t)
+	fillToCap(c, cacheCap-1)
+	reg := telemetry.New()
+	c.AttachTelemetry(reg)
+	fresh := newController(t)
+	planes := []float64{0.31, 0.62, 0.93, 0.62}
+	for _, u := range planes {
+		s, p, err := c.Choose(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, wp, err := fresh.Choose(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s != ws || p != wp {
+			t.Errorf("plane %v: full-cache decision %+v/%v != fresh %+v/%v", u, s, p, ws, wp)
+		}
+	}
+	if got := c.CacheLen(); got != cacheCap {
+		t.Errorf("CacheLen = %d, want the cap %d", got, cacheCap)
+	}
+	if got := len(c.CacheKeys()); got > cacheCap {
+		t.Errorf("CacheKeys lists %d keys, past the cap", got)
+	}
+	// 0.31 took the last slot; 0.62 and 0.93 overflowed, so the repeated
+	// 0.62 misses again.
+	if hits, calls := c.CacheStats(); hits != 0 || calls != 4 {
+		t.Errorf("CacheStats = %d hits of %d calls, want 0 of 4", hits, calls)
+	}
+	if got := c.inserts.Value(); got != 1 {
+		t.Errorf("inserts = %d, want 1", got)
+	}
+	if got := reg.Gauge(metricCacheEntries, "").Value(); got != cacheCap {
+		t.Errorf("entries gauge = %v, want the cap %d", got, cacheCap)
+	}
+	if got := reg.Counter(metricCacheInserts, "").Value(); got != 1 {
+		t.Errorf("registry inserts = %d, want 1", got)
+	}
+}
+
+// TestDecideBatchCountersMatchSerialAtCap extends the batch/serial counter
+// pin to a full cache: a plane the cache declines stays unpublished, so a
+// later group on it counts as the miss a per-group Choose sees, and the
+// decisions stay bit-identical to an empty-cache controller's.
+func TestDecideBatchCountersMatchSerialAtCap(t *testing.T) {
+	c, ref, fresh := newController(t), newController(t), newController(t)
+	fillToCap(c, cacheCap)
+	fillToCap(ref, cacheCap)
+	col, ranges := batchColumn(29, 16, 11)
+	var bs BatchScratch
+	scratches := make([]*Scratch, len(ranges))
+	for g := range scratches {
+		scratches[g] = &Scratch{}
+	}
+	out := make([]Decision, len(ranges))
+	if err := c.DecideBatch(col, ranges, Original, &bs, scratches, out); err != nil {
+		t.Fatal(err)
+	}
+	for g, r := range ranges {
+		if _, err := ref.DecideSerial(col[r.Lo:r.Hi], Original, &Scratch{}); err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.DecideSerial(col[r.Lo:r.Hi], Original, &Scratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !decisionsEqual(out[g], want) {
+			t.Fatalf("group %d: full-cache batch %+v != fresh serial %+v", g, out[g], want)
+		}
+	}
+	bh, bc := c.CacheStats()
+	sh, sc := ref.CacheStats()
+	if bh != sh || bc != sc {
+		t.Errorf("batch cache stats (hits=%d calls=%d) != serial (hits=%d calls=%d)", bh, bc, sh, sc)
+	}
+	if c.inserts.Value() != 0 || ref.inserts.Value() != 0 {
+		t.Errorf("full caches counted inserts: batch %d serial %d", c.inserts.Value(), ref.inserts.Value())
+	}
+	if c.CacheLen() != cacheCap {
+		t.Errorf("CacheLen = %d, want the cap %d", c.CacheLen(), cacheCap)
+	}
+}
+
+// TestWarmCacheAtColdSide pins the resume warm-up seam: keys warmed at a
+// cold side hit for lookups at that cold side, not at the default one.
+func TestWarmCacheAtColdSide(t *testing.T) {
+	c := newController(t)
+	keys := []uint64{math.Float64bits(0.25), math.Float64bits(0.75)}
+	if n := c.WarmCache(keys, 14); n != 2 {
+		t.Fatalf("warmed %d keys, want 2", n)
+	}
+	for _, k := range keys {
+		if _, _, _, ok := c.cache.load(k, math.Float64bits(14)); !ok {
+			t.Errorf("key %v not cached at the warm cold side", math.Float64frombits(k))
+		}
+		if _, _, _, ok := c.cache.load(k, math.Float64bits(float64(c.ColdSource))); ok {
+			t.Errorf("key %v cached at the default cold side", math.Float64frombits(k))
+		}
+	}
+}

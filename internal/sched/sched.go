@@ -64,21 +64,21 @@ type Controller struct {
 	// setting is selected, so that revisited planes hit the memoized
 	// decision cache instead of re-running the slab intersection. 0 (the
 	// default) keeps the exact plane value: the cache then only fires on
-	// bit-identical planes, which preserves the uncached results exactly.
+	// bit-identical planes, which preserves the uncached results exactly,
+	// and fills to its entry cap early in a long run.
 	// A positive quantum (e.g. 1/512) trades a sub-quantum perturbation
 	// of the plane for a near-perfect hit rate on real traces.
 	CacheQuantum float64
 
 	// The memoized Step 1-3 outcomes, keyed on the (quantized) plane
-	// utilization bits: a sharded lock-free table (cache.go). Settings are
-	// a pure function of the plane, so concurrent fills are benign and
-	// order-independent.
+	// utilization bits: a sharded lock-free table holding at most cacheCap
+	// entries (cache.go). Settings are a pure function of the plane, so
+	// concurrent fills are benign and order-independent.
 	cache decisionCache
 	// hits/calls/inserts instrument the cache: sharded telemetry counters
 	// (the key's bucket hash is the shard hint, so workers on distinct
-	// planes touch distinct cache lines). NewController creates them
-	// standalone; AttachTelemetry swaps in registry-owned counters so a
-	// run's exporters see them. CacheStats reads whichever are current.
+	// planes touch distinct cache lines), owned by this controller alone.
+	// CacheStats reads them; AttachTelemetry mirrors them into a registry.
 	hits, calls, inserts *telemetry.Counter
 
 	// met carries the optional decision metrics (chosen-setting
@@ -121,28 +121,38 @@ func (c *Controller) CacheStats() (hits, calls uint64) {
 	return c.hits.Value(), c.calls.Value()
 }
 
+// CacheLen reports how many entries the decision cache holds, at most
+// cacheCap. It reads one atomic counter and walks no chain.
+func (c *Controller) CacheLen() int {
+	return c.cache.entries()
+}
+
 // CacheKeys returns the decision cache's current keys — math.Float64bits of
-// every memoized (quantized) plane utilization — sorted ascending. Settings
-// are a pure function of the plane, so the keys alone reconstruct the cache:
-// a checkpoint stores them and WarmCache recomputes the values on resume.
-// Cache contents never affect simulation results, only their speed.
+// every memoized (quantized) plane utilization — sorted ascending; there are
+// never more than CacheLen. Settings are a pure function of the plane and
+// the cold side, so the keys alone reconstruct the cache: a checkpoint
+// stores them and WarmCache recomputes the values on resume. Cache contents
+// never affect simulation results, only their speed.
 func (c *Controller) CacheKeys() []uint64 {
 	return c.cache.keys()
 }
 
 // WarmCache re-memoizes the outcomes for keys previously listed by CacheKeys
-// and reports how many were warmed. Warming is best-effort and purely a
-// performance optimization: keys that do not decode to a plane in [0, 1] (or
-// whose Choose fails) are skipped, never surfaced — a stale or corrupt key
-// list can slow a resumed run down but cannot change its results.
-func (c *Controller) WarmCache(keys []uint64) int {
+// against the cold side the resumed run will look them up at — the
+// environment's value for the resume interval — and reports how many were
+// warmed. Warming goes through the same capped cache as any decision.
+// Warming is best-effort and purely a performance optimization: keys that do
+// not decode to a plane in [0, 1] (or whose Choose fails) are skipped, never
+// surfaced — a stale or corrupt key list can slow a resumed run down but
+// cannot change its results.
+func (c *Controller) WarmCache(keys []uint64, cold units.Celsius) int {
 	warmed := 0
 	for _, k := range keys {
 		u := math.Float64frombits(k)
 		if u != u || u < 0 || u > 1 {
 			continue
 		}
-		if _, _, err := c.Choose(u); err == nil {
+		if _, _, err := c.ChooseCold(u, cold); err == nil {
 			warmed++
 		}
 	}
@@ -251,19 +261,16 @@ func (c *Controller) chooseCached(planeU float64, cold units.Celsius) (Setting, 
 	key := math.Float64bits(planeU)
 	cb := math.Float64bits(float64(cold))
 	hint := bucketOf(key)
-	c.calls.AddHint(hint, 1)
+	c.countCall(hint)
 	if setting, power, cell, ok := c.cache.load(key, cb); ok {
-		c.hits.AddHint(hint, 1)
-		c.observeChoice(hint, setting)
+		c.account(hint, true, false, setting)
 		return setting, power, cell, nil
 	}
 	setting, power, cell, err := c.choose(planeU, cold)
 	if err != nil {
 		return Setting{}, 0, 0, err
 	}
-	c.cache.store(key, cb, setting, power, cell)
-	c.inserts.AddHint(hint, 1)
-	c.observeChoice(hint, setting)
+	c.account(hint, false, c.cache.store(key, cb, setting, power, cell), setting)
 	return setting, power, cell, nil
 }
 

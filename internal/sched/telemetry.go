@@ -11,6 +11,7 @@ const (
 	metricCacheHits    = "h2p_decision_cache_hits_total"
 	metricCacheCalls   = "h2p_decision_cache_calls_total"
 	metricCacheInserts = "h2p_decision_cache_inserts_total"
+	metricCacheEntries = "h2p_decision_cache_entries"
 	metricChosenInlet  = "h2p_decision_chosen_inlet_celsius"
 	metricChosenFlow   = "h2p_decision_chosen_flow_lph"
 	metricCurveEvals   = "h2p_decision_powercurve_evals_total"
@@ -20,6 +21,13 @@ const (
 
 // schedMetrics holds the optional (registry-attached) decision metrics.
 type schedMetrics struct {
+	// hits/calls/inserts mirror the controller's own cache counters into
+	// the registry, and entries sums the attached caches' sizes. Every
+	// controller attached to one registry (one per shard of a sharded run)
+	// adds into the same series, so the registry holds run-wide totals while
+	// CacheStats keeps reading the controller's own counts.
+	hits, calls, inserts *telemetry.Counter
+	entries              *telemetry.Gauge
 	// chosenInlet/chosenFlow histogram every Choose outcome — the
 	// chosen-setting distribution across the run, one observation per
 	// control decision (hits included: the distribution weights settings by
@@ -36,23 +44,24 @@ type schedMetrics struct {
 	batchUnique *telemetry.Histogram
 }
 
-// AttachTelemetry registers the controller's decision metrics with reg and
-// swaps the cache counters for registry-owned ones, so the run's exporters
-// see hits/calls/inserts under their metric names. Attaching nil — the
-// no-op registry — leaves the controller exactly as built: standalone cache
-// counters for CacheStats and no extra instrumentation on the hot path.
+// AttachTelemetry registers the controller's decision metrics with reg, so
+// the run's exporters see the cache's hits/calls/inserts and entry count
+// under their metric names. Attaching nil — the no-op registry — leaves the
+// controller exactly as built: standalone cache counters for CacheStats and
+// no extra instrumentation on the hot path.
 //
 // Call before the controller is shared across goroutines (the engine does so
-// at construction); counters accumulated before the call stay behind in the
-// standalone instruments.
+// at construction). The registry counters count from the call on; the
+// entries gauge also takes in the entries already cached.
 func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	c.hits = reg.Counter(metricCacheHits, "decision cache hits")
-	c.calls = reg.Counter(metricCacheCalls, "Choose calls (cache hits + misses)")
-	c.inserts = reg.Counter(metricCacheInserts, "decision cache inserts (misses that published an entry)")
 	c.met = &schedMetrics{
+		hits:    reg.Counter(metricCacheHits, "decision cache hits"),
+		calls:   reg.Counter(metricCacheCalls, "Choose calls (cache hits + misses)"),
+		inserts: reg.Counter(metricCacheInserts, "decision cache inserts (misses that published an entry)"),
+		entries: reg.Gauge(metricCacheEntries, "decision cache entries held"),
 		chosenInlet: reg.Histogram(metricChosenInlet, "chosen inlet water temperature per decision",
 			telemetry.LinearBuckets(30, 2, 15)),
 		chosenFlow: reg.Histogram(metricChosenFlow, "chosen coolant flow per decision",
@@ -63,6 +72,7 @@ func (c *Controller) AttachTelemetry(reg *telemetry.Registry) {
 		batchUnique: reg.Histogram(metricBatchUnique, "distinct quantized planes per DecideBatch call",
 			telemetry.LinearBuckets(0, 4, 9)),
 	}
+	c.met.entries.Add(float64(c.CacheLen()))
 }
 
 // observeBatch records one DecideBatch call's group and unique-plane counts
@@ -74,11 +84,36 @@ func (c *Controller) observeBatch(groups, unique int) {
 	}
 }
 
-// observeChoice records the chosen setting's distribution when decision
-// metrics are attached. One branch when they are not.
-func (c *Controller) observeChoice(hint uint64, s Setting) {
+// countCall records one Choose call on the call counter and, when decision
+// metrics are attached, on its registry mirror.
+func (c *Controller) countCall(hint uint64) {
+	c.calls.AddHint(hint, 1)
 	if m := c.met; m != nil {
-		m.chosenInlet.ObserveHint(hint, float64(s.Inlet))
-		m.chosenFlow.ObserveHint(hint, float64(s.Flow))
+		m.calls.AddHint(hint, 1)
 	}
+}
+
+// account records the outcome of a counted call — a cache hit, or a miss
+// that did or did not publish an entry — and, when decision metrics are
+// attached, mirrors it into the registry along with the chosen setting's
+// distribution. One branch beyond the counters when metrics are not
+// attached.
+func (c *Controller) account(hint uint64, hit, inserted bool, s Setting) {
+	if hit {
+		c.hits.AddHint(hint, 1)
+	} else if inserted {
+		c.inserts.AddHint(hint, 1)
+	}
+	m := c.met
+	if m == nil {
+		return
+	}
+	if hit {
+		m.hits.AddHint(hint, 1)
+	} else if inserted {
+		m.inserts.AddHint(hint, 1)
+		m.entries.Add(1)
+	}
+	m.chosenInlet.ObserveHint(hint, float64(s.Inlet))
+	m.chosenFlow.ObserveHint(hint, float64(s.Flow))
 }

@@ -22,7 +22,9 @@ const CheckpointVersion = 1
 // engine can resume from Merged directly, and a sharded run resumed under a
 // different shard count can be reconstructed from it by re-slicing Sensors
 // along the new layout. Resume under the SAME layout additionally warms each
-// shard's own cache from its private key set.
+// shard's own cache from its private key set. Each shard's keys are bounded
+// by the decision cache's entry cap (16,384), so the union holds at most
+// shards times that; a resuming cache keeps at most the cap of them.
 type Checkpoint struct {
 	Version int `json:"version"`
 

@@ -193,7 +193,7 @@ func Run(ctx context.Context, fleet *core.Fleet, cfg core.Config, src trace.Sour
 			if err := runners[s].RestoreSensorStates(cp.PerShard[s].Sensors); err != nil {
 				return nil, err
 			}
-			runners[s].WarmCache(cp.PerShard[s].CacheKeys)
+			runners[s].WarmCache(cp.PerShard[s].CacheKeys, start)
 		}
 		if err := trace.Skip(src, start); err != nil {
 			return nil, err

@@ -123,6 +123,21 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
+// Add moves the gauge by delta, atomically against concurrent Adds, so
+// several writers sharing one gauge sum their contributions. Nil-receiver
+// safe.
+func (g *Gauge) Add(delta float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
+			return
+		}
+	}
+}
+
 // Value loads the current value. A nil gauge reads zero.
 func (g *Gauge) Value() float64 {
 	if g == nil {

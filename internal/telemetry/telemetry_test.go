@@ -20,6 +20,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	c.Inc()
 	c.AddHint(3, 1)
 	g.Set(2.5)
+	g.Add(1)
 	h.Observe(1)
 	h.ObserveHint(7, 1)
 	if c.Value() != 0 || g.Value() != 0 || h.Value().Count != 0 {
@@ -44,6 +45,7 @@ func TestNilInstrumentRecordAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		c.AddHint(1, 1)
 		g.Set(1)
+		g.Add(1)
 		h.ObserveHint(1, 1)
 		tr.Record("x", 0, tr.Epoch(), 0)
 	})
@@ -190,6 +192,28 @@ func TestBucketHelpers(t *testing.T) {
 	}
 	if LinearBuckets(0, 1, 0) != nil || ExponentialBuckets(0, 4, 3) != nil {
 		t.Error("degenerate bucket args must return nil")
+	}
+}
+
+// TestGaugeConcurrentAdd checks Add sums every writer's contribution: the
+// decision-cache entries gauge is shared by all controllers on a registry.
+func TestGaugeConcurrentAdd(t *testing.T) {
+	g := NewGauge("g")
+	g.Set(10)
+	const goroutines, perG = 8, 1000
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for i := 0; i < goroutines; i++ {
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perG; j++ {
+				g.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := g.Value(); got != 10+goroutines*perG {
+		t.Errorf("gauge = %v, want %v", got, 10+goroutines*perG)
 	}
 }
 

@@ -55,6 +55,7 @@ fuzz-check:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadLongFormat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCSVRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCSVSource$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard -run '^$$' -fuzz '^FuzzShardEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzParseRunRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/env -run '^$$' -fuzz '^FuzzEnvProfile$$' -fuzztime $(FUZZTIME)
@@ -133,9 +134,12 @@ load-check:
 		-expect-accepted 50 -expect-rejected 5
 
 # check is the tier-1 gate: vet + best-effort vuln scan + build +
-# race-enabled tests + the telemetry, fault, fuzz, streaming, batch-kernel,
-# shard, observability, run-server and facility-environment gates.
-check: vet vuln build race telemetry-check fault-check fuzz-check stream-check kernel-check shard-check obs-check serve-check env-check
+# race-enabled tests + the fuzz smoke run. `race` already runs every test
+# once under the race detector, so the layer gates above (telemetry-,
+# fault-, stream-, kernel-, shard-, obs-, serve- and env-check) are not
+# prerequisites: they re-run subsets of the same tests and stay as
+# developer shortcuts for working on one layer.
+check: vet vuln build race fuzz-check
 
 # bench tracks the decision hot path across PRs: the Decision* benchmarks in
 # internal/lookup (candidate scan) and internal/sched (controller) run with
@@ -153,6 +157,10 @@ check: vet vuln build race telemetry-check fault-check fuzz-check stream-check k
 # BENCH_shard.json; h2pbenchdiff renders every unit including the servers/s
 # throughput column, and `h2pbenchdiff -threshold 10 old.json BENCH_shard.json`
 # gates throughput drops as well as ns/op growth.
+# The trace-decode benchmarks in internal/trace (CSVSourceOpen,
+# CSVSourceDecode, LongFormatSourceDecode, GeneratorSourceDecode; each
+# reports ns/cell on a 1,000-server fixture generated at run time) land in
+# BENCH_trace.json.
 # Each artifact opens with the h2p_bench_env header line (`h2pbench
 # -bench-env`): go version, GOMAXPROCS, CPU model, commit. h2pbenchdiff
 # reads it back and warns when two compared artifacts come from different
@@ -169,9 +177,13 @@ bench:
 	$(GO) run ./cmd/h2pbench -bench-env > BENCH_shard.json
 	$(GO) test -run '^$$' -bench ShardScaling -benchmem -benchtime 1x -count=1 -json \
 		./internal/shard >> BENCH_shard.json
+	$(GO) run ./cmd/h2pbench -bench-env > BENCH_trace.json
+	$(GO) test -run '^$$' -bench 'Source(Open|Decode)$$' -benchmem -count=1 -json \
+		./internal/trace >> BENCH_trace.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_decision.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_interval.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_shard.json
+	$(GO) run ./cmd/h2pbenchdiff BENCH_trace.json
 
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -181,4 +193,4 @@ experiments:
 
 clean:
 	$(GO) clean ./...
-	rm -rf results BENCH_decision.json BENCH_interval.json BENCH_shard.json
+	rm -rf results BENCH_decision.json BENCH_interval.json BENCH_shard.json BENCH_trace.json

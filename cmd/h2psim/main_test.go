@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/h2p-sim/h2p/internal/core"
 	"github.com/h2p-sim/h2p/internal/telemetry"
 	"github.com/h2p-sim/h2p/internal/trace"
 )
@@ -181,25 +182,46 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 }
 
-// TestStreamOutputMatchesInMemory is the CLI-level equivalence pin: -stream
-// must print byte-identical tables (including the full -series dump) to the
-// in-memory path for the same cluster, seed and worker pool.
+// inMemoryReport is the library referee for the CLI's output: it
+// materializes the synthetic traces, runs both schemes through the in-memory
+// Fleet API and renders the same report.
+func inMemoryReport(t *testing.T, opt runOptions) []byte {
+	t.Helper()
+	traces, err := trace.GenerateAll(opt.servers, opt.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := core.NewFleet()
+	specs := make([]streamSpec, len(traces))
+	results := make(map[string][2]*core.Result, len(traces))
+	for i, tr := range traces {
+		orig, lb, err := fleet.CompareContext(context.Background(), tr, opt.engineConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[i] = streamSpec{name: tr.Name, class: tr.Class}
+		results[tr.Name] = [2]*core.Result{orig, lb}
+	}
+	var buf bytes.Buffer
+	printReport(&buf, specs, results, opt)
+	return buf.Bytes()
+}
+
+// TestStreamOutputMatchesInMemory is the CLI-level equivalence pin: the
+// streaming run must print byte-identical tables (including the full -series
+// dump) to the in-memory library path for the same cluster, seed and
+// parallelism.
 func TestStreamOutputMatchesInMemory(t *testing.T) {
 	base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2, series: true}
 
-	var mem bytes.Buffer
-	if err := run(context.Background(), &mem, base); err != nil {
-		t.Fatal(err)
-	}
-	stream := base
-	stream.stream = true
+	mem := inMemoryReport(t, base)
 	var str bytes.Buffer
-	if err := run(context.Background(), &str, stream); err != nil {
+	if err := run(context.Background(), &str, base); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(mem.Bytes(), str.Bytes()) {
-		t.Errorf("-stream output differs from in-memory output:\n--- in-memory ---\n%s\n--- stream ---\n%s",
-			mem.String(), str.String())
+	if !bytes.Equal(mem, str.Bytes()) {
+		t.Errorf("streaming output differs from in-memory output:\n--- in-memory ---\n%s\n--- stream ---\n%s",
+			mem, str.String())
 	}
 }
 
@@ -209,7 +231,7 @@ func TestStreamOutputMatchesInMemory(t *testing.T) {
 // uninterrupted run's.
 func TestStreamHaltResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2, series: true, stream: true}
+	base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2, series: true}
 
 	full := base
 	full.seriesOut = filepath.Join(dir, "full.csv")
@@ -263,7 +285,7 @@ func TestStreamHaltResumeByteIdentical(t *testing.T) {
 // to "resume" from nothing — a silent fresh start would masquerade as a
 // completed resume.
 func TestStreamResumeWithoutCheckpointFileFails(t *testing.T) {
-	opt := runOptions{servers: 40, circ: 20, seed: 1, stream: true,
+	opt := runOptions{servers: 40, circ: 20, seed: 1,
 		checkpoint: filepath.Join(t.TempDir(), "missing.json"), resume: true}
 	if err := run(context.Background(), io.Discard, opt); err == nil {
 		t.Fatal("resume from a missing checkpoint file succeeded")

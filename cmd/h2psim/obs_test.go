@@ -28,7 +28,7 @@ func journalOpt(t *testing.T, opt *runOptions, dir, name string, appendTo bool) 
 
 // TestObserverJournalStdoutBitIdentical is the journal-on/off equivalence
 // gate: attaching the run recorder must not move a single output byte — for
-// the default engine, the sharded pipeline, and a faulted run, across all
+// the default configuration, a 3-range parallel run, and a faulted run, across all
 // three synthetic trace classes and both schemes.
 func TestObserverJournalStdoutBitIdentical(t *testing.T) {
 	plan, err := fault.ParsePlan("teg-degrade:0.1:0.5, pump-droop:0.05")
@@ -40,12 +40,12 @@ func TestObserverJournalStdoutBitIdentical(t *testing.T) {
 		mod  func(*runOptions)
 	}{
 		{"default", func(*runOptions) {}},
-		{"sharded", func(o *runOptions) { o.shards = 2 }},
+		{"sharded", func(o *runOptions) { o.workers = 3 }},
 		{"faulted", func(o *runOptions) { o.faults = plan; o.faultSeed = 7 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2, stream: true}
+			base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2}
 			tc.mod(&base)
 
 			var plain bytes.Buffer
@@ -93,10 +93,10 @@ func TestObserverJournalStdoutBitIdentical(t *testing.T) {
 					t.Errorf("run %s: done avg = %v", s.Run, s.Done.AvgTEGWattsPerServer)
 				}
 				if tc.name == "sharded" {
-					if s.Manifest.Config.Shards != 2 {
-						t.Errorf("run %s: manifest shards = %d, want 2", s.Run, s.Manifest.Config.Shards)
+					if c := s.Manifest.Config; c.Workers != 3 || c.Shards != 0 {
+						t.Errorf("run %s: manifest workers = %d, shards = %d, want 3 and 0", s.Run, c.Workers, c.Shards)
 					}
-					if s.Progress.Shard == nil || s.Progress.Shard.Shards != 2 {
+					if s.Progress.Shard == nil || s.Progress.Shard.Shards != 3 {
 						t.Errorf("run %s: progress missing shard counters: %+v", s.Run, s.Progress.Shard)
 					}
 				}
@@ -109,7 +109,7 @@ func TestObserverJournalStdoutBitIdentical(t *testing.T) {
 }
 
 // TestObserverJournalHaltResumeRoundTrip drives the full lifecycle the
-// journal exists to witness: a sharded, faulted run halts at a checkpoint
+// journal exists to witness: a parallel, faulted run halts at a checkpoint
 // boundary, then a -resume invocation appends to the same journal file and
 // finishes. One file ends up telling the whole story: manifests from both
 // invocations, checkpoint and halt events, resume events, and a done record
@@ -120,8 +120,7 @@ func TestObserverJournalHaltResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2, stream: true,
-		shards: 2, faults: plan, faultSeed: 7}
+	base := runOptions{servers: 60, circ: 20, seed: 42, workers: 2, faults: plan, faultSeed: 7}
 
 	var fullOut bytes.Buffer
 	if err := run(context.Background(), &fullOut, base); err != nil {

@@ -13,7 +13,6 @@ import (
 	"github.com/h2p-sim/h2p/internal/core"
 	"github.com/h2p-sim/h2p/internal/obs"
 	"github.com/h2p-sim/h2p/internal/sched"
-	"github.com/h2p-sim/h2p/internal/shard"
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
@@ -26,7 +25,7 @@ var errHalted = errors.New("h2psim: halted at checkpoint boundary (resume with -
 // haltExitCode is the process exit code for a clean -halt-after stop.
 const haltExitCode = 3
 
-// streamSpec is one trace the streaming path evaluates: a display class, a
+// streamSpec is one trace a run evaluates: a display class, a
 // coordinator key, an opener producing a fresh source per run (the two
 // schemes run concurrently and cannot share stream state), and the trace's
 // meta for journal manifests.
@@ -38,8 +37,7 @@ type streamSpec struct {
 }
 
 // streamSpecs builds the run list: the single -trace CSV, or the three
-// synthetic classes with the exact per-class seed schedule the in-memory
-// path uses.
+// synthetic classes with the per-class seed schedule of trace.GenerateAll.
 func streamSpecs(opt runOptions) ([]streamSpec, error) {
 	if opt.traceFile != "" {
 		src, err := trace.OpenCSVFile(opt.traceFile)
@@ -104,7 +102,6 @@ func journalRecorder(opt runOptions, sp streamSpec, scheme sched.Scheme) *obs.Ru
 			ServersPerCirculation: opt.circ,
 			Scheme:                string(scheme),
 			Workers:               core.ResolveParallelism(opt.workers),
-			Shards:                opt.shards,
 			DecisionQuantum:       opt.quantum,
 			Seed:                  opt.seed,
 			FaultSeed:             opt.faultSeed,
@@ -133,16 +130,16 @@ func journalRecorder(opt runOptions, sp streamSpec, scheme sched.Scheme) *obs.Ru
 }
 
 // checkpointEntry is one run's state in the checkpoint file: a completed
-// Result, an in-progress engine checkpoint, or — under -shards — an
-// in-progress sharded checkpoint. The sharded record's Merged field is itself
-// a complete engine checkpoint, so dropping -shards between invocations still
-// resumes; the reverse direction (adding -shards over an unsharded
-// checkpoint) is rejected rather than guessed at.
+// Result or an in-progress engine checkpoint, which resumes at any -workers.
+// Sharded is the entry older builds wrote for sharded runs; it is
+// only read, and resumes through its merged engine checkpoint.
 type checkpointEntry struct {
-	Done       bool              `json:"done"`
-	Result     *core.Result      `json:"result,omitempty"`
-	Checkpoint *core.Checkpoint  `json:"checkpoint,omitempty"`
-	Sharded    *shard.Checkpoint `json:"sharded,omitempty"`
+	Done       bool             `json:"done"`
+	Result     *core.Result     `json:"result,omitempty"`
+	Checkpoint *core.Checkpoint `json:"checkpoint,omitempty"`
+	Sharded    *struct {
+		Merged core.Checkpoint `json:"merged"`
+	} `json:"sharded,omitempty"`
 }
 
 // checkpointFile is the on-disk coordinator state.
@@ -210,14 +207,6 @@ func (c *coordinator) setCheckpoint(key string, cp *core.Checkpoint) error {
 	return c.flushLocked()
 }
 
-// setSharded records an in-progress sharded run's checkpoint.
-func (c *coordinator) setSharded(key string, cp *shard.Checkpoint) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.file.Entries[key] = &checkpointEntry{Sharded: cp}
-	return c.flushLocked()
-}
-
 // setDone records a completed run's full result.
 func (c *coordinator) setDone(key string, res *core.Result) error {
 	c.mu.Lock()
@@ -256,11 +245,12 @@ func (c *coordinator) flushLocked() error {
 // streamSchemes is the fixed scheme order of the comparison tables.
 var streamSchemes = [2]sched.Scheme{sched.Original, sched.LoadBalance}
 
-// runStreaming is the bounded-memory evaluation path: every trace is pulled
-// through a trace.Source, runs checkpoint at interval boundaries when
-// -checkpoint is set, and a -resume invocation continues from the file and
-// prints output byte-identical to an uninterrupted streaming run.
-func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
+// run is the evaluation: every trace is pulled through a trace.Source with
+// an O(servers) working set, both schemes run concurrently, runs checkpoint
+// at interval boundaries when -checkpoint is set, and a -resume invocation
+// continues from the file and prints output byte-identical to an
+// uninterrupted run.
+func run(ctx context.Context, out io.Writer, opt runOptions) error {
 	specs, err := streamSpecs(opt)
 	if err != nil {
 		return err
@@ -275,29 +265,12 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 	}
 	keepSeries := opt.series || opt.seriesOut != ""
 
-	cfg := core.DefaultConfig(sched.Original)
-	cfg.ServersPerCirculation = opt.circ
-	cfg.Workers = opt.workers
-	cfg.DecisionQuantum = opt.quantum
-	cfg.Telemetry = opt.telemetry
-	cfg.Faults = opt.faults
-	cfg.FaultSeed = opt.faultSeed
-	opt.applyEnv(&cfg)
-
+	cfg := opt.engineConfig()
 	fleet := core.NewFleet()
 	results := make(map[string][2]*core.Result)
 	halted := false
 	for _, sp := range specs {
 		var pair [2]*core.Result
-		if opt.shards > 0 {
-			h, err := runShardedSpec(ctx, fleet, cfg, sp, coord, keepSeries, opt, &pair)
-			if err != nil {
-				return err
-			}
-			halted = halted || h
-			results[sp.name] = pair
-			continue
-		}
 		var runs []core.SourceRun
 		var slots []int
 		var recs []*obs.RunRecorder
@@ -319,9 +292,6 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 			if entry != nil && entry.Checkpoint != nil {
 				ro.Resume = entry.Checkpoint
 			} else if entry != nil && entry.Sharded != nil {
-				// The sharded record's Merged field is a complete engine
-				// checkpoint in global circulation order, so a run
-				// checkpointed under -shards resumes unsharded from it.
 				ro.Resume = &entry.Sharded.Merged
 			}
 			if coord != nil {
@@ -361,7 +331,7 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 	if halted {
 		return errHalted
 	}
-	printStreamReport(out, specs, results, opt)
+	printReport(out, specs, results, opt)
 
 	if opt.seriesOut != "" {
 		labels := make([]string, len(specs))
@@ -389,76 +359,11 @@ func runStreaming(ctx context.Context, out io.Writer, opt runOptions) error {
 	return nil
 }
 
-// runShardedSpec runs one trace's two scheme runs through the sharded
-// execution layer (internal/shard), sequentially: each run already spreads
-// across opt.shards engine shards, so running the schemes concurrently on top
-// would only oversubscribe the cores the shards are meant to fill. It fills
-// pair in scheme order and reports whether any run halted at its -halt-after
-// boundary. Checkpoints land in the coordinator as Sharded entries; resuming
-// them under a different shard count is rejected by the shard layer with a
-// layout error rather than silently recomputed.
-func runShardedSpec(ctx context.Context, fleet *core.Fleet, cfg core.Config, sp streamSpec,
-	coord *coordinator, keepSeries bool, opt runOptions, pair *[2]*core.Result) (halted bool, err error) {
-	for si, scheme := range streamSchemes {
-		key := runKey(sp.name, scheme)
-		var entry *checkpointEntry
-		if coord != nil {
-			entry = coord.entry(key)
-		}
-		if entry != nil && entry.Done {
-			pair[si] = entry.Result
-			continue
-		}
-		so := &shard.Options{Shards: opt.shards, KeepSeries: keepSeries, HaltAfter: opt.haltAfter}
-		rr := journalRecorder(opt, sp, scheme)
-		if rr != nil {
-			so.Observer = rr
-		}
-		if entry != nil {
-			switch {
-			case entry.Sharded != nil:
-				so.Resume = entry.Sharded
-			case entry.Checkpoint != nil:
-				return false, fmt.Errorf("run %s was checkpointed unsharded; resume without -shards (a sharded checkpoint would resume either way), or restart without -resume", key)
-			}
-		}
-		if coord != nil {
-			key := key
-			so.Checkpoint = &shard.CheckpointOptions{
-				Every: opt.checkpointEvery,
-				Write: func(cp *shard.Checkpoint) error { return coord.setSharded(key, cp) },
-			}
-		}
-		scfg := cfg
-		scfg.Scheme = scheme
-		src, err := sp.open()
-		if err != nil {
-			return false, err
-		}
-		res, err := shard.Run(ctx, fleet, scfg, src, so)
-		if errors.Is(err, core.ErrHalted) {
-			halted = true
-			continue
-		}
-		if err != nil {
-			return false, err
-		}
-		pair[si] = res
-		rr.Done(res)
-		if coord != nil {
-			if err := coord.setDone(key, res); err != nil {
-				return false, err
-			}
-		}
-	}
-	return halted, nil
-}
-
-// printStreamReport renders the Fig. 14/15 tables (and the fault table) from
-// streaming results. The layout matches the in-memory path; the meanU column
-// comes from the run's incrementally aggregated MeanAvgUtilization, since no
-// dense trace exists to describe.
-func printStreamReport(out io.Writer, specs []streamSpec, results map[string][2]*core.Result, opt runOptions) {
+// printReport renders the Fig. 14/15 tables (and the fault and environment
+// tables) from the runs' results, keyed by spec name. The meanU column comes
+// from the run's incrementally aggregated MeanAvgUtilization, since no dense
+// trace exists to describe.
+func printReport(out io.Writer, specs []streamSpec, results map[string][2]*core.Result, opt runOptions) {
 	fmt.Fprintln(out, "Fig. 14 — generated electricity per CPU (W):")
 	fmt.Fprintf(out, "%-12s %-10s %-10s %-10s %-10s %-10s %-10s\n",
 		"trace", "orig avg", "orig peak", "lb avg", "lb peak", "gain%", "meanU")

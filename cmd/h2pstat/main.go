@@ -138,8 +138,8 @@ func printSummaries(w io.Writer, sums []*obs.RunSummary) {
 		fmt.Fprintf(w, "\n%s\n", s.Run)
 		fmt.Fprintf(w, "  trace    %s (%s), %d servers x %d intervals @ %.0fs\n",
 			m.Trace, m.Class, m.Servers, m.Intervals, m.IntervalSeconds)
-		fmt.Fprintf(w, "  config   scheme=%s workers=%d shards=%d seed=%d hash=%s\n",
-			m.Config.Scheme, m.Config.Workers, m.Config.Shards, m.Config.Seed, m.ConfigHash)
+		fmt.Fprintf(w, "  config   scheme=%s workers=%d seed=%d hash=%s\n",
+			m.Config.Scheme, parallelism(m.Config), m.Config.Seed, m.ConfigHash)
 		if m.Config.FaultPlan != "" {
 			fmt.Fprintf(w, "  faults   plan=%s seed=%d\n", m.Config.FaultPlan, m.Config.FaultSeed)
 		}
@@ -168,6 +168,15 @@ func printSummaries(w io.Writer, sums []*obs.RunSummary) {
 			}
 		}
 	}
+}
+
+// parallelism is the run's one parallelism value: Shards in journals that
+// predate the unified run loop and set it, Workers otherwise.
+func parallelism(c obs.RunConfig) int {
+	if c.Shards > 0 {
+		return c.Shards
+	}
+	return c.Workers
 }
 
 // facilityLine renders the manifest's facility-environment knobs, empty for
@@ -358,8 +367,8 @@ func printTailLine(w io.Writer, event, data string) {
 			return
 		}
 		m := rec.Manifest
-		fmt.Fprintf(w, "%s  manifest: %d servers x %d intervals, scheme=%s shards=%d\n",
-			rec.Run, m.Servers, m.Intervals, m.Config.Scheme, m.Config.Shards)
+		fmt.Fprintf(w, "%s  manifest: %d servers x %d intervals, scheme=%s workers=%d\n",
+			rec.Run, m.Servers, m.Intervals, m.Config.Scheme, parallelism(m.Config))
 	case "done":
 		var rec obs.Record
 		if json.Unmarshal([]byte(data), &rec) != nil || rec.Done == nil {

@@ -59,7 +59,7 @@ func TestPrintSummaries(t *testing.T) {
 		"T1/synthetic-diurnal/TEG_LoadBalance",
 		"done", "100/100", "4.321",
 		"ckpt=2 resume=1 halt=1",
-		"scheme=TEG_LoadBalance workers=4 shards=2 seed=42 hash=00decafc0ffee000",
+		"scheme=TEG_LoadBalance workers=2 seed=42 hash=00decafc0ffee000", // a legacy manifest: shards wins
 		"plan=teg-degrade:0.10:0.50",
 		"go1.24.0 linux/amd64 gomaxprocs=8",
 		"result   avg=4.321 W/srv peak=6.500 W/srv PRE=2.50%",

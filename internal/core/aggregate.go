@@ -12,13 +12,13 @@ import (
 // MergeInterval folds per-circulation contributions into one IntervalResult
 // in circulation index order — the exact accumulation order of the serial
 // engine, so no floating-point sum is ever reassociated no matter which
-// worker (or which shard) produced each contribution. col is the full
-// datacenter utilization column; parts holds every circulation's contribution
-// in circulation index order.
+// range produced each contribution. col is the full datacenter utilization
+// column; parts holds every circulation's contribution in circulation index
+// order.
 //
-// It is the exported face of the engine's internal merge, shared with the
-// sharded execution layer (internal/shard) so sharded runs are bit-identical
-// to unsharded ones by construction rather than by reimplementation.
+// It is the exported face of the run loop's merge, for callers that step
+// circulations themselves (ShardRunner.Step) and want the loop's exact
+// arithmetic.
 func MergeInterval(col []float64, parts []CirculationInterval) IntervalResult {
 	return mergeInterval(col, parts)
 }
@@ -27,8 +27,7 @@ func MergeInterval(col []float64, parts []CirculationInterval) IntervalResult {
 // IntervalResults into a Result's running aggregates in interval order, the
 // same order the legacy in-memory path summed its retained series in, so no
 // floating-point sum is ever reassociated. RunSourceContext folds through an
-// Aggregator, and so does the sharded merger (internal/shard) — one fold
-// implementation is what pins the two paths bit-identical.
+// Aggregator on its merger, whatever the run's parallelism.
 //
 // An Aggregator is single-goroutine state: exactly one merger folds at a
 // time. Checkpoint/Restore freeze and resume the fold at an interval
@@ -46,8 +45,7 @@ type Aggregator struct {
 	reuse *heatreuse.Sink
 	// buffer, when non-nil, is the run's storage element: Fold steps it with
 	// the interval's TEG generation against the plant draw. It is fold-order
-	// state exactly like the energy sums, so it lives here — the one place
-	// shared by the streaming loop and the sharded merger — and rides the
+	// state exactly like the energy sums, so it lives here and rides the
 	// checkpoint with them.
 	buffer *storage.HybridBuffer
 
@@ -94,7 +92,7 @@ func NewAggregator(meta trace.Meta, cfg Config, keepSeries bool) *Aggregator {
 // stamps the interval with its environment sample and, with a configured
 // buffer, steps the storage element — both are pure functions of the fold
 // position, so the stamped series and the buffer trajectory are identical for
-// any worker or shard count.
+// any parallelism.
 func (a *Aggregator) Fold(ir IntervalResult) {
 	smp := a.env.At(a.next)
 	ir.ColdSide, ir.WetBulb, ir.HeatDemand = smp.ColdSide, smp.WetBulb, smp.HeatDemand

@@ -94,7 +94,7 @@ func (st *benchIntervalState) column(i int, churn bool) []float64 {
 func (st *benchIntervalState) step(b *testing.B, i int, batch, churn bool) {
 	col := st.column(i, churn)
 	if batch {
-		stepBlock(st.circs, 0, len(st.circs), col, i, &st.ws, st.parts, st.errs)
+		stepBlock(st.circs, col, i, &st.ws, st.parts, st.errs)
 		for ci, err := range st.errs {
 			if err != nil {
 				b.Fatalf("circulation %d: %v", ci, err)
@@ -166,37 +166,5 @@ func BenchmarkIntervalThroughputClasses(b *testing.B) {
 				benchIntervalClass(b, servers, batch, true, gcfg)
 			})
 		}
-	}
-}
-
-// BenchmarkIntervalThroughputBatchWorkers scales the batch path across the
-// worker pool on the parallel claiming loop.
-func BenchmarkIntervalThroughputBatchWorkers(b *testing.B) {
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			st := newBenchIntervalState(b, 10000, false)
-			states := make([]workerState, workers)
-			ctx := b.Context()
-			run := func(i int) {
-				if err := stepParallel(ctx, st.circs, st.column(i, true), i, workers, nil, states, true, st.parts, st.errs); err != nil {
-					b.Fatal(err)
-				}
-				for ci, err := range st.errs {
-					if err != nil {
-						b.Fatalf("circulation %d: %v", ci, err)
-					}
-				}
-			}
-			run(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i > 0 && i%churnWindow == 0 {
-					b.StopTimer()
-					st.reset(b)
-					b.StartTimer()
-				}
-				run(i)
-			}
-		})
 	}
 }

@@ -92,10 +92,9 @@ type Checkpoint struct {
 }
 
 // ValidateFor checks the checkpoint against the source shape and engine
-// configuration it is about to resume: RunSourceContext calls it on its
-// Resume option, and the sharded execution layer (internal/shard) calls it on
-// the merged aggregates of a sharded checkpoint before layering its own
-// shard-layout validation on top.
+// configuration it is about to resume; RunSourceContext calls it on its
+// Resume option. Nothing in a checkpoint depends on the parallelism, so the
+// resuming run's Workers is free.
 func (cp *Checkpoint) ValidateFor(m trace.Meta, cfg Config, circulations int, keepSeries bool) error {
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, engine speaks %d", cp.Version, CheckpointVersion)

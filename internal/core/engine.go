@@ -14,19 +14,21 @@
 //   - Circulation (circulation.go) owns one water circulation's servers,
 //     pump, scheme decision and plant dispatch; circulations are
 //     independent within an interval.
-//   - Engine drives the interval loop, fanning the circulations of each
-//     interval out across a bounded worker pool and merging their
-//     contributions deterministically by circulation index. The loop itself
-//     lives in stream.go (RunSourceContext): it pulls trace columns from a
-//     trace.Source one interval at a time, so its working set is O(servers)
-//     regardless of trace length, and it can checkpoint at interval
-//     boundaries and resume bit-identically (checkpoint.go). The in-memory
-//     Run/RunContext API is a thin adapter over it.
+//   - Engine drives the run loop (stream.go, RunSourceContext), the only
+//     one: it splits the circulations into Config.Workers contiguous ranges
+//     (ShardRunner, shard.go) that step concurrently on one controller,
+//     decodes the next trace column while they compute, and merges their
+//     contributions in circulation order on the caller's goroutine. It pulls
+//     columns from a trace.Source one interval at a time, so its working set
+//     is O(servers) regardless of trace length, and it checkpoints at
+//     interval boundaries and resumes bit-identically at any parallelism
+//     (checkpoint.go). The in-memory Run/RunContext API and the
+//     internal/shard package are thin adapters over it.
 //   - Fleet (fleet.go) runs whole trace x scheme combinations
 //     concurrently, sharing one immutable look-up space per CPU spec and
 //     axes.
 //
-// Results are bit-identical for any worker count: the merge follows
+// Results are bit-identical for any parallelism: the merge follows
 // circulation index order, so no floating-point sum is ever reassociated.
 package core
 
@@ -34,8 +36,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/chiller"
@@ -97,9 +97,11 @@ type Config struct {
 	// circulation pump.
 	PumpRatedPower units.Watts
 	PumpMaxFlow    units.LitersPerHour
-	// Workers bounds the worker pool evaluating circulations in parallel
-	// within each control interval. 0 means runtime.GOMAXPROCS(0); 1
-	// forces the serial path. Results are bit-identical for any value.
+	// Workers is the run's parallelism: the number of contiguous
+	// circulation ranges the run loop steps concurrently. 0 means
+	// runtime.GOMAXPROCS(0); 1 steps every circulation as one range;
+	// counts above the circulation count clamp to it. Results are
+	// bit-identical for any value.
 	Workers int
 	// DisableBatch forces the legacy per-circulation decide path instead of
 	// the batched column kernels (sched.Controller.DecideBatch). The batch
@@ -117,8 +119,9 @@ type Config struct {
 	// cost of a sub-quantum perturbation of the chosen setting.
 	DecisionQuantum float64
 	// Telemetry, when non-nil, instruments the engine, its controller and
-	// the shared look-up space: interval/step latency histograms, queue
-	// wait, decision-cache counters, scan lengths, and the harvested-power
+	// the shared look-up space: interval/step latency histograms, the
+	// pipeline's decode, range-step and merge-wait histograms, decision-cache
+	// counters, scan lengths, and the harvested-power
 	// and outlet-temperature series, plus a span tracer. nil — the default
 	// — is the true no-op path: the warm Decide/Step path performs no
 	// added atomics, no clock reads and zero allocations, and simulation
@@ -219,13 +222,9 @@ func (c Config) Plant() chiller.Plant {
 	return p
 }
 
-// workers resolves the effective worker count through the shared
-// ResolveParallelism rule.
-func (c Config) workers() int { return ResolveParallelism(c.Workers) }
-
 // Circulations reports how many circulations an nServers datacenter forms
-// under the configuration — the partitioning the sharded execution layer
-// aligns its server ranges to.
+// under the configuration — the units the run loop partitions into
+// parallel ranges.
 func (c Config) Circulations(nServers int) int {
 	n := c.ServersPerCirculation
 	if n > nServers {
@@ -495,9 +494,9 @@ func (e *Engine) Run(tr *trace.Trace) (*Result, error) {
 	return e.RunContext(context.Background(), tr)
 }
 
-// RunContext evaluates the trace, fanning each interval's circulations out
-// across the configured worker pool. The result is bit-identical for every
-// worker count. Cancelling the context aborts the run promptly with the
+// RunContext evaluates the trace, stepping its circulations in
+// Config.Workers parallel ranges. The result is bit-identical for every
+// parallelism. Cancelling the context aborts the run promptly with the
 // context's error.
 //
 // It is a thin adapter over the streaming loop (RunSourceContext): the trace
@@ -511,10 +510,10 @@ func (e *Engine) RunContext(ctx context.Context, tr *trace.Trace) (*Result, erro
 	return e.RunSourceContext(ctx, src, &RunOptions{KeepSeries: true})
 }
 
-// workerState is one worker's reusable batch-decision working set: the
+// workerState is one range's reusable batch-decision working set: the
 // controller's column scratch plus the per-block argument arrays. One
-// workerState belongs to exactly one worker goroutine for the run's
-// lifetime, so nothing here is synchronized.
+// workerState belongs to exactly one ShardRunner, stepped by one goroutine,
+// so nothing here is synchronized.
 type workerState struct {
 	bs     sched.BatchScratch
 	ranges []sched.Range
@@ -534,24 +533,9 @@ func (ws *workerState) grow(n int) {
 	ws.decs = ws.decs[:n]
 }
 
-// blockSize picks the batch path's circulation-block granularity: with one
-// worker the whole datacenter is a single block (maximal cache-probe dedup);
-// with more, ~4 blocks per worker balance the pool without shrinking the
-// columns into per-circulation calls.
-func blockSize(circulations, workers int) int {
-	if workers <= 1 {
-		return circulations
-	}
-	bs := (circulations + workers*4 - 1) / (workers * 4)
-	if bs < 1 {
-		bs = 1
-	}
-	return bs
-}
-
-// stepBlock runs one contiguous block of circulations [lo, hi) through the
-// batched decision kernel and the per-circulation finish, writing each
-// circulation's contribution (or error) into its slot.
+// stepBlock runs a contiguous block of circulations through the batched
+// decision kernel and the per-circulation finish, writing each circulation's
+// contribution (or error) into its slot of parts and errs.
 //
 // The decision is a pure function of the column, so one DecideBatch serves
 // every retry attempt of every circulation in the block. If the batch
@@ -560,90 +544,36 @@ func blockSize(circulations, workers int) int {
 // retry-then-degrade semantics for decide-stage failures. With no injector a
 // decide failure is fatal, attributed to the block's lowest failing
 // circulation with the untouched serial error.
-func stepBlock(circs []Circulation, lo, hi int, col []float64, interval int, ws *workerState, parts []CirculationInterval, errs []error) {
-	n := hi - lo
-	ws.grow(n)
-	for k := 0; k < n; k++ {
-		c := &circs[lo+k]
+func stepBlock(circs []Circulation, col []float64, interval int, ws *workerState, parts []CirculationInterval, errs []error) {
+	ws.grow(len(circs))
+	for k := range circs {
+		c := &circs[k]
 		ws.ranges[k] = sched.Range{Lo: c.Lo, Hi: c.Hi}
 		ws.scrs[k] = &c.scratch
-		errs[lo+k] = nil
+		errs[k] = nil
 	}
-	c0 := &circs[lo]
+	c0 := &circs[0]
 	// The environment is a pure function of the interval and shared by every
 	// circulation, so one sample serves the whole block's decisions.
 	smp := c0.env.At(interval)
 	if err := c0.ctl.DecideBatchCold(col, ws.ranges, c0.scheme, smp.ColdSide, &ws.bs, ws.scrs, ws.decs); err != nil {
 		if c0.inj != nil {
-			for k := 0; k < n; k++ {
-				parts[lo+k], errs[lo+k] = circs[lo+k].Step(col, interval)
+			for k := range circs {
+				parts[k], errs[k] = circs[k].Step(col, interval)
 			}
 			return
 		}
 		var ge sched.GroupError
 		if errors.As(err, &ge) {
-			errs[lo+ge.Group] = ge.Err
+			errs[ge.Group] = ge.Err
 		} else {
-			errs[lo] = err
+			errs[0] = err
 		}
 		return
 	}
-	for k := 0; k < n; k++ {
-		parts[lo+k], errs[lo+k] = circs[lo+k].stepWithDecision(interval, &ws.decs[k])
+	for k := range circs {
+		parts[k], errs[k] = circs[k].stepWithDecision(interval, &ws.decs[k])
 	}
-}
-
-// stepParallel fans the circulations of one interval out across workers
-// goroutines, writing each circulation's contribution (or error) into its
-// own slot. Workers claim contiguous circulation blocks: on the batch path
-// each block is one DecideBatch column call; on the legacy path blocks are
-// single circulations, preserving the historical per-circulation
-// granularity. It only returns an error for context cancellation; per-
-// circulation errors are reported through errs so the caller can surface
-// the lowest-index failure, matching the serial path. When met is non-nil,
-// each block's wait between fan-out and claim is recorded as queue wait,
-// sharded by its first circulation index.
-func stepParallel(ctx context.Context, circs []Circulation, col []float64, interval, workers int, met *engineMetrics, states []workerState, batch bool, parts []CirculationInterval, errs []error) error {
-	var fanOut time.Time
-	if met != nil {
-		fanOut = time.Now()
-	}
-	bs := 1
-	if batch {
-		bs = blockSize(len(circs), workers)
-	}
-	nBlocks := (len(circs) + bs - 1) / bs
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nBlocks || ctx.Err() != nil {
-					return
-				}
-				lo := b * bs
-				hi := lo + bs
-				if hi > len(circs) {
-					hi = len(circs)
-				}
-				if met != nil {
-					met.queueWaitSec.ObserveHint(uint64(lo), time.Since(fanOut).Seconds())
-				}
-				if batch {
-					stepBlock(circs, lo, hi, col, interval, &states[w], parts, errs)
-				} else {
-					for ci := lo; ci < hi; ci++ {
-						parts[ci], errs[ci] = circs[ci].Step(col, interval)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // mergeInterval folds per-circulation contributions into one IntervalResult

@@ -175,7 +175,7 @@ type SourceRun struct {
 }
 
 // RunSourcesContext evaluates every streaming run concurrently, one
-// goroutine per run, each internally bounded by base.Workers, and returns
+// goroutine per run, each stepping base.Workers ranges, and returns
 // the results in run order.
 //
 // A run stopping at its HaltAfter boundary (ErrHalted) is a clean outcome,

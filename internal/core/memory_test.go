@@ -76,6 +76,30 @@ func TestStreamingSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestParallelRunAllocsFlat pins the parallel run loop's allocations to a
+// per-run constant: at Workers 2 a warm engine allocates the same for a
+// 4-day run as for a 1-day one — the range workers and the pipeline's slots
+// are set up once per run, never per interval.
+func TestParallelRunAllocsFlat(t *testing.T) {
+	cfg := smallConfig(sched.Original)
+	cfg.Workers = 2
+	cfg.DecisionQuantum = 1.0 / 512
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := trace.DrasticConfig(60)
+	g.Horizon = 4 * 24 * time.Hour
+	measureRunAllocs(t, eng, g, 1011) // warms the cache over every plane
+	long := measureRunAllocs(t, eng, g, 1011)
+	g.Horizon = 24 * time.Hour
+	short := measureRunAllocs(t, eng, g, 1011)
+	// 864 more intervals: even one allocation per ten intervals would show.
+	if long > short+64 {
+		t.Fatalf("warm run allocations grow with the interval count: 1 day %d, 4 days %d", short, long)
+	}
+}
+
 // TestStreamingWorkingSetBounded pins the O(servers) working-set claim: a
 // streaming run over a trace whose full matrix would be tens of megabytes
 // must retain only a small constant heap beyond its starting point, because

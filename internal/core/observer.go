@@ -1,10 +1,9 @@
 package core
 
-// RunObserver receives run-lifecycle callbacks from the streaming run loop
-// (RunSourceContext) and its sharded counterpart (internal/shard.Run): one
-// call per merged interval, plus checkpoint, resume and halt boundaries. It
-// is the seam the observability layer (internal/obs) hangs its run journal
-// on — pure observation, never steering: the engine ignores everything an
+// RunObserver receives run-lifecycle callbacks from the run loop
+// (RunSourceContext): one call per merged interval, plus checkpoint, resume
+// and halt boundaries. It is the seam the observability layer (internal/obs)
+// hangs its run journal on — pure observation, never steering: the engine ignores everything an
 // observer does, so simulation results are bit-identical with an observer
 // attached or not.
 //
@@ -27,7 +26,7 @@ type RunObserver interface {
 
 // CacheStatsSink is optionally implemented by a RunObserver that wants the
 // decision-cache hit rate in its progress records. The run loop hands it a
-// lifetime (hits, calls) reader over the run's controller(s) before the
+// lifetime (hits, calls) reader over the run's controller before the
 // first interval; the observer may call it at any point during the run.
 type CacheStatsSink interface {
 	AttachCacheStats(stats func() (hits, calls uint64))

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/sched"
+	"github.com/h2p-sim/h2p/internal/telemetry"
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
@@ -289,5 +290,52 @@ func TestWorkersValidation(t *testing.T) {
 	cfg.DecisionQuantum = -0.1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative DecisionQuantum should fail validation")
+	}
+}
+
+// cacheStatsObserver keeps the decision-cache reader the run loop attaches.
+type cacheStatsObserver struct{ stats func() (hits, calls uint64) }
+
+func (o *cacheStatsObserver) AttachCacheStats(stats func() (hits, calls uint64)) { o.stats = stats }
+func (o *cacheStatsObserver) ObserveInterval(int, IntervalResult)                {}
+func (o *cacheStatsObserver) ObserveCheckpoint(int)                              {}
+func (o *cacheStatsObserver) ObserveResume(int)                                  {}
+func (o *cacheStatsObserver) ObserveHalt(int)                                    {}
+
+// TestParallelCacheCallsEqualDecisions pins the cache accounting of a
+// parallel run: at Workers 4 the ranges share one controller, so its
+// counters — read through the observer and, with telemetry, through the
+// registry — report exactly one call per decision.
+func TestParallelCacheCallsEqualDecisions(t *testing.T) {
+	const servers, intervals = 100, 48
+	g := trace.CommonConfig(servers)
+	g.Horizon = intervals * g.Interval
+	for _, withTelemetry := range []bool{false, true} {
+		cfg := DefaultConfig(sched.LoadBalance)
+		cfg.Workers = 4
+		if withTelemetry {
+			cfg.Telemetry = telemetry.New()
+		}
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := trace.NewGeneratorSource(g, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := &cacheStatsObserver{}
+		if _, err := eng.RunSource(src, &RunOptions{Observer: obs}); err != nil {
+			t.Fatal(err)
+		}
+		decisions := uint64(cfg.Circulations(servers) * intervals)
+		if _, calls := obs.stats(); calls != decisions {
+			t.Errorf("telemetry=%v: observer reads %d cache calls for %d decisions", withTelemetry, calls, decisions)
+		}
+		if withTelemetry {
+			if calls := cfg.Telemetry.Counter("h2p_decision_cache_calls_total", "").Value(); calls != decisions {
+				t.Errorf("registry reads %d cache calls for %d decisions", calls, decisions)
+			}
+		}
 	}
 }

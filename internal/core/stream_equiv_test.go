@@ -12,8 +12,8 @@ import (
 )
 
 // streamEquivSchemes and streamEquivWorkers span the equivalence matrix the
-// streaming pipeline must hold: both schedulers and serial, moderate and
-// over-subscribed worker pools.
+// streaming pipeline must hold: both schedulers and one range, moderate and
+// over-subscribed parallelism.
 var (
 	streamEquivSchemes = []sched.Scheme{sched.Original, sched.LoadBalance}
 	streamEquivWorkers = []int{1, 4, 16}
@@ -24,7 +24,7 @@ var (
 // GeneratorSource through RunSource must reproduce the in-memory Run of the
 // materialized trace bit for bit — every summary metric and every
 // IntervalResult. Under -race (make stream-check) it also proves the
-// streaming loop shares the worker pool safely.
+// run loop's ranges share the engine safely.
 func TestStreamingMatchesInMemory(t *testing.T) {
 	const servers, seed = 60, 11
 	for i, gcfg := range trace.CanonicalConfigs(servers) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/telemetry"
@@ -12,7 +13,6 @@ const (
 	metricSteps          = "h2p_engine_circulation_steps_total"
 	metricIntervalSec    = "h2p_engine_interval_seconds"
 	metricStepSec        = "h2p_engine_circulation_step_seconds"
-	metricQueueWaitSec   = "h2p_engine_queue_wait_seconds"
 	metricWorkers        = "h2p_engine_workers"
 	metricCirculations   = "h2p_engine_circulations"
 	metricHarvestedPower = "h2p_interval_teg_power_watts_per_server"
@@ -23,6 +23,12 @@ const (
 	metricCheckpoints   = "h2p_engine_checkpoints_total"
 	metricResumes       = "h2p_engine_resumes_total"
 	metricResumeSkipped = "h2p_engine_resume_skipped_intervals_total"
+
+	// Pipeline instruments (stream.go): per-range step latency, the merger's
+	// wait for its next in-order interval, and column decode latency.
+	metricRangeStepSec = "h2p_shard_step_seconds"
+	metricMergeWaitSec = "h2p_shard_merge_wait_seconds"
+	metricDecodeSec    = "h2p_shard_decode_seconds"
 )
 
 // Exported fault-layer metric names. The report's Telemetry section groups
@@ -37,15 +43,23 @@ const (
 	metricFaultDegraded       = "h2p_fault_degraded_intervals_total"
 )
 
-// Span names recorded by the engine's tracer.
+// Span names recorded by the engine's tracer. Together with the per-range
+// step names (rangeSpanName) they make the pipeline visible as a timeline:
+// the Perfetto exporter (internal/obs) maps each name to its own track.
 const (
 	spanInterval    = "interval"
 	spanCirculation = "circulation"
+	spanDecode      = "decode"
+	spanMergeWait   = "merge.wait"
+	spanCheckpoint  = "checkpoint"
 )
 
-// engineMetrics instruments the interval loop: wall-clock latency of whole
-// intervals and individual circulation steps, worker queue wait in the
-// parallel path, and the physical per-interval series the paper's evaluation
+// rangeSpanName returns range s's step span name ("shard03.step").
+func rangeSpanName(s int) string { return fmt.Sprintf("shard%02d.step", s) }
+
+// engineMetrics instruments the run loop: wall-clock latency of whole
+// intervals, individual circulation steps and the pipeline stages (column
+// decode, per-range step, merge wait), and the physical per-interval series the paper's evaluation
 // is built on (harvested TEG power, outlet temperature, hottest die). nil —
 // the default when Config.Telemetry is nil — disables everything: the run
 // loop pays one pointer test per interval and never reads the clock.
@@ -54,7 +68,6 @@ type engineMetrics struct {
 	steps          *telemetry.Counter
 	intervalSec    *telemetry.Histogram
 	stepSec        *telemetry.Histogram
-	queueWaitSec   *telemetry.Histogram
 	workers        *telemetry.Gauge
 	circulations   *telemetry.Gauge
 	harvestedPower *telemetry.Histogram
@@ -67,6 +80,12 @@ type engineMetrics struct {
 	checkpoints   *telemetry.Counter
 	resumes       *telemetry.Counter
 	resumeSkipped *telemetry.Counter
+
+	// Pipeline histograms: per-range step latency (hinted by range index so
+	// ranges never contend on a cell), merge wait and column decode.
+	rangeStepSec *telemetry.Histogram
+	mergeWaitSec *telemetry.Histogram
+	decodeSec    *telemetry.Histogram
 
 	// Fault-layer counters, sharded by circulation index like the step
 	// metrics. They only ever move when an Injector is active.
@@ -94,9 +113,7 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 			telemetry.ExponentialBuckets(1e-5, 4, 10)),
 		stepSec: reg.Histogram(metricStepSec, "wall-clock seconds per circulation step",
 			telemetry.ExponentialBuckets(1e-6, 4, 10)),
-		queueWaitSec: reg.Histogram(metricQueueWaitSec, "seconds a circulation waited for a worker (parallel path)",
-			telemetry.ExponentialBuckets(1e-7, 4, 10)),
-		workers:      reg.Gauge(metricWorkers, "effective circulation worker pool size"),
+		workers:      reg.Gauge(metricWorkers, "circulation ranges the run steps in parallel"),
 		circulations: reg.Gauge(metricCirculations, "circulations per interval"),
 		harvestedPower: reg.Histogram(metricHarvestedPower, "datacenter-mean harvested TEG power per server, one observation per interval",
 			telemetry.LinearBuckets(0, 1, 16)),
@@ -109,6 +126,13 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		checkpoints:   reg.Counter(metricCheckpoints, "engine checkpoints written at interval boundaries"),
 		resumes:       reg.Counter(metricResumes, "runs resumed from a checkpoint"),
 		resumeSkipped: reg.Counter(metricResumeSkipped, "intervals skipped (not re-simulated) by checkpoint resumes"),
+
+		rangeStepSec: reg.Histogram(metricRangeStepSec, "wall-clock seconds one circulation range spent stepping one interval",
+			telemetry.ExponentialBuckets(1e-5, 4, 10)),
+		mergeWaitSec: reg.Histogram(metricMergeWaitSec, "seconds the merger waited for its next in-order interval",
+			telemetry.ExponentialBuckets(1e-7, 4, 10)),
+		decodeSec: reg.Histogram(metricDecodeSec, "seconds the decoder spent producing one column",
+			telemetry.ExponentialBuckets(1e-6, 4, 10)),
 
 		faultOpenTEG:        reg.Counter(metricFaultOpenTEG, "open-circuit TEG module-intervals excluded from the harvest sum"),
 		faultDegradedTEG:    reg.Counter(metricFaultDegradedTEG, "degradation-scaled TEG module-intervals"),
@@ -177,12 +201,67 @@ func (m *engineMetrics) observeInterval(i int, start time.Time, ir IntervalResul
 	m.tracer.Record(spanInterval, int64(i), start, d)
 }
 
-// observeCheckpoint records one checkpoint written at an interval boundary.
-func (m *engineMetrics) observeCheckpoint() {
+// observeLayout records the run's range and circulation counts.
+func (m *engineMetrics) observeLayout(ranges, circulations int) {
+	if m == nil {
+		return
+	}
+	m.workers.Set(float64(ranges))
+	m.circulations.Set(float64(circulations))
+}
+
+// rangeSpanNames precomputes the run's per-range step span names, so
+// recording a span never allocates; nil when telemetry is off.
+func (m *engineMetrics) rangeSpanNames(ranges int) []string {
+	if m == nil {
+		return nil
+	}
+	names := make([]string, ranges)
+	for s := range names {
+		names[s] = rangeSpanName(s)
+	}
+	return names
+}
+
+// observeDecode records one column decode.
+func (m *engineMetrics) observeDecode(interval int, start time.Time) {
+	if m == nil {
+		return
+	}
+	d := time.Since(start)
+	m.decodeSec.Observe(d.Seconds())
+	m.tracer.Record(spanDecode, int64(interval), start, d)
+}
+
+// observeRangeStep records range s stepping one interval under span name.
+func (m *engineMetrics) observeRangeStep(name string, s, interval int, start time.Time) {
+	if m == nil {
+		return
+	}
+	d := time.Since(start)
+	m.rangeStepSec.ObserveHint(uint64(s), d.Seconds())
+	m.tracer.Record(name, int64(interval), start, d)
+}
+
+// observeMergeWait records how long the merger blocked for its next slot.
+func (m *engineMetrics) observeMergeWait(interval int, start time.Time) {
+	if m == nil {
+		return
+	}
+	d := time.Since(start)
+	m.mergeWaitSec.Observe(d.Seconds())
+	m.tracer.Record(spanMergeWait, int64(interval), start, d)
+}
+
+// observeCheckpoint records one checkpoint written at the boundary after
+// done intervals: the counter plus a "checkpoint" span covering the
+// drain-and-write window.
+func (m *engineMetrics) observeCheckpoint(done int, start time.Time) {
 	if m == nil {
 		return
 	}
 	m.checkpoints.Inc()
+	m.tracer.Record(spanCheckpoint, int64(done), start, time.Since(start))
 }
 
 // observeResume records one resume and the intervals it skipped.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/h2p-sim/h2p/internal/sched"
@@ -127,9 +128,19 @@ func TestTelemetryPopulatedByRun(t *testing.T) {
 		t.Errorf("outlet mean %v ℃ outside plausible warm-water band", outlet.Mean)
 	}
 
-	// One interval span per interval plus one circulation span per step.
-	if snap.SpansRecorded != intervals+steps {
-		t.Errorf("spans recorded = %d, want %d", snap.SpansRecorded, intervals+steps)
+	// One interval and one decode span per interval, one circulation span
+	// per step, one step span per range and interval, and one span per
+	// merge wait.
+	ranges := uint64(min(runtime.GOMAXPROCS(0), 3))
+	if h := hists["h2p_shard_step_seconds"]; h.Count != intervals*ranges {
+		t.Errorf("range step count = %d, want %d", h.Count, intervals*ranges)
+	}
+	if h := hists["h2p_shard_decode_seconds"]; h.Count != intervals {
+		t.Errorf("decode count = %d, want %d", h.Count, intervals)
+	}
+	waits := hists["h2p_shard_merge_wait_seconds"].Count
+	if want := 2*intervals + steps + intervals*ranges + waits; snap.SpansRecorded != want {
+		t.Errorf("spans recorded = %d, want %d", snap.SpansRecorded, want)
 	}
 
 	// The new MeanOutlet field must agree with the histogram's aggregate.

@@ -138,32 +138,28 @@ func TestFig14And15SmallScale(t *testing.T) {
 	}
 }
 
-// TestFig14ShardedMatchesDefault pins EvalParams.Shards: routing the
-// evaluation through the sharded execution layer must leave every table cell
+// TestFig14ShardedMatchesDefault is the experiment layer's parallelism
+// ladder: Workers 1, 3 and 0 (all CPUs) must leave every table cell
 // identical — the tables are formatted from the folded results, so equal
 // strings mean bit-equal aggregates.
 func TestFig14ShardedMatchesDefault(t *testing.T) {
-	want, err := Fig14(smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 3} {
+	var want string
+	for _, workers := range []int{1, 3, 0} {
 		p := smallParams()
-		p.Shards = shards
-		got, err := Fig14(p)
+		p.Workers = workers
+		tab, err := Fig14(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wb, gb bytes.Buffer
-		if err := want.WriteCSV(&wb); err != nil {
+		var b bytes.Buffer
+		if err := tab.WriteCSV(&b); err != nil {
 			t.Fatal(err)
 		}
-		if err := got.WriteCSV(&gb); err != nil {
-			t.Fatal(err)
-		}
-		if wb.String() != gb.String() {
-			t.Errorf("Shards=%d: Fig14 differs from unsharded:\n--- unsharded ---\n%s--- sharded ---\n%s",
-				shards, wb.String(), gb.String())
+		if workers == 1 {
+			want = b.String()
+		} else if b.String() != want {
+			t.Errorf("Workers=%d: Fig14 differs from Workers=1:\n--- Workers=1 ---\n%s--- Workers=%d ---\n%s",
+				workers, want, workers, b.String())
 		}
 	}
 }

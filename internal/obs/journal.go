@@ -43,16 +43,20 @@ type Record struct {
 // RunConfig is the manifest's run-shaping knobs — everything that picks the
 // simulation's arithmetic, and therefore everything ConfigHash covers.
 type RunConfig struct {
-	Servers               int     `json:"servers"`
-	ServersPerCirculation int     `json:"servers_per_circulation"`
-	Scheme                string  `json:"scheme"`
-	Workers               int     `json:"workers"`
-	Shards                int     `json:"shards,omitempty"`
-	DecisionQuantum       float64 `json:"decision_quantum,omitempty"`
-	Seed                  int64   `json:"seed"`
-	FaultPlan             string  `json:"fault_plan,omitempty"`
-	FaultSeed             int64   `json:"fault_seed,omitempty"`
-	Streaming             bool    `json:"streaming,omitempty"`
+	Servers               int    `json:"servers"`
+	ServersPerCirculation int    `json:"servers_per_circulation"`
+	Scheme                string `json:"scheme"`
+	// Workers is the run's parallelism (core.Config.Workers, resolved).
+	Workers int `json:"workers"`
+	// Shards is the parallelism of sharded runs in journals written before
+	// the run loop was unified; current writers leave it 0 and record the
+	// parallelism in Workers alone.
+	Shards          int     `json:"shards,omitempty"`
+	DecisionQuantum float64 `json:"decision_quantum,omitempty"`
+	Seed            int64   `json:"seed"`
+	FaultPlan       string  `json:"fault_plan,omitempty"`
+	FaultSeed       int64   `json:"fault_seed,omitempty"`
+	Streaming       bool    `json:"streaming,omitempty"`
 	// Facility environment (all omitempty: the constant default leaves the
 	// canonical JSON — and so the config hash — byte-identical to a journal
 	// predating the environment layer). EnvKind names the source
@@ -107,8 +111,7 @@ func (m Manifest) Hash() string {
 
 // Progress is a periodic run-progress record: position, rates and ETA, the
 // running harvested-power mean over the intervals this writer observed, the
-// decision-cache hit rate, and — for sharded runs — the pipeline timing
-// counters.
+// decision-cache hit rate, and the run loop's pipeline timing counters.
 type Progress struct {
 	// Interval is the last merged interval index; Done = Interval+1
 	// intervals are complete out of Total.
@@ -130,12 +133,13 @@ type Progress struct {
 	// DegradedIntervals counts circulation-intervals this writer saw
 	// excluded by fault degradation; zero in a healthy run.
 	DegradedIntervals int64 `json:"degraded_intervals,omitempty"`
-	// Shard carries the sharded pipeline's timing counters (nil for
-	// unsharded runs): merge-wait totals and per-shard step seconds.
+	// Shard carries the run loop's pipeline timing counters (nil when the
+	// run did not attach them): merge-wait totals and per-range step
+	// seconds.
 	Shard *ShardProgress `json:"shard,omitempty"`
 }
 
-// ShardProgress is the sharded pipeline's cumulative timing counters inside
+// ShardProgress is the run loop's cumulative pipeline timing counters inside
 // a Progress record.
 type ShardProgress struct {
 	Shards           int       `json:"shards"`

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/core"
-	"github.com/h2p-sim/h2p/internal/shard"
 )
 
 // Recorder owns one journal file and serializes record writes to it. One
@@ -128,7 +127,7 @@ func (r *Recorder) Close() error {
 }
 
 // RunRecorder journals one run: it implements core.RunObserver (plus the
-// core.CacheStatsSink and shard.StatsSink capabilities, which the run loop
+// core.CacheStatsSink and core.ShardStatsSink capabilities, which the run loop
 // attaches when available) and turns the callback stream into manifest,
 // progress, event and done records under its run key. A nil *RunRecorder is
 // a true no-op — every method is one branch, zero allocations (pinned by
@@ -148,7 +147,7 @@ type RunRecorder struct {
 	noted    bool    // degraded event already emitted (bounded: one per run)
 
 	cacheStats func() (hits, calls uint64)
-	shardStats func() shard.Stats
+	shardStats func() core.ShardStats
 }
 
 // NewRunRecorder opens a run under the recorder: computes the manifest's
@@ -188,8 +187,8 @@ func (rr *RunRecorder) AttachCacheStats(stats func() (hits, calls uint64)) {
 	rr.cacheStats = stats
 }
 
-// AttachShardStats implements shard.StatsSink.
-func (rr *RunRecorder) AttachShardStats(stats func() shard.Stats) {
+// AttachShardStats implements core.ShardStatsSink.
+func (rr *RunRecorder) AttachShardStats(stats func() core.ShardStats) {
 	if rr == nil {
 		return
 	}

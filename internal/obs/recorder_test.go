@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/h2p-sim/h2p/internal/core"
-	"github.com/h2p-sim/h2p/internal/shard"
 	"github.com/h2p-sim/h2p/internal/units"
 )
 
@@ -50,8 +49,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("run key = %q, want %q", got, want)
 	}
 	rr.AttachCacheStats(func() (uint64, uint64) { return 30, 40 })
-	rr.AttachShardStats(func() shard.Stats {
-		return shard.Stats{Shards: 2, MergeWaits: 3, MergeWaitSeconds: 0.25, StepSeconds: []float64{1, 2}}
+	rr.AttachShardStats(func() core.ShardStats {
+		return core.ShardStats{Shards: 2, MergeWaits: 3, MergeWaitSeconds: 0.25, StepSeconds: []float64{1, 2}}
 	})
 	for i := 0; i < 4; i++ {
 		rr.ObserveInterval(i, intervalResult(4.0, 0))

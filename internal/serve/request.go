@@ -89,10 +89,10 @@ type RunRequest struct {
 	Scheme string `json:"scheme"`
 	// ServersPerCirculation is n of Sec. V-A; 0 means the paper's 25.
 	ServersPerCirculation int `json:"servers_per_circulation,omitempty"`
-	// Workers bounds the per-interval worker pool (0 = all CPUs).
+	// Workers is the run's parallelism (0 = all CPUs), h2psim's -workers.
 	Workers int `json:"workers,omitempty"`
-	// Shards routes the run through the sharded execution layer; 0 keeps
-	// the single-engine streaming path (h2psim without -shards).
+	// Shards is an older spelling of the parallelism: when positive it
+	// overrides Workers. Results are bit-identical either way.
 	Shards int `json:"shards,omitempty"`
 	// Quantum is the decision-cache utilization quantum (0 = exact).
 	Quantum float64 `json:"quantum,omitempty"`
@@ -473,12 +473,21 @@ func (r *RunRequest) EngineConfig() core.Config {
 	if r.ServersPerCirculation > 0 {
 		cfg.ServersPerCirculation = r.ServersPerCirculation
 	}
-	cfg.Workers = r.Workers
+	cfg.Workers = r.parallelism()
 	cfg.DecisionQuantum = r.Quantum
 	cfg.Faults = r.faults
 	cfg.FaultSeed = r.faultSeed()
 	r.Environment.apply(&cfg)
 	return cfg
+}
+
+// parallelism resolves the request's two spellings of the run's
+// parallelism: Shards when positive, otherwise Workers.
+func (r *RunRequest) parallelism() int {
+	if r.Shards > 0 {
+		return r.Shards
+	}
+	return r.Workers
 }
 
 // faultSeed resolves the request's fault seed with the CLI's default of 1.
@@ -504,8 +513,7 @@ func (r *RunRequest) Manifest(runID string, meta trace.Meta, hostEnv obs.Environ
 			Servers:               meta.Servers,
 			ServersPerCirculation: r.EngineConfig().ServersPerCirculation,
 			Scheme:                string(r.scheme),
-			Workers:               core.ResolveParallelism(r.Workers),
-			Shards:                r.Shards,
+			Workers:               core.ResolveParallelism(r.parallelism()),
 			DecisionQuantum:       r.Quantum,
 			Seed:                  r.Trace.Seed,
 			Streaming:             true,

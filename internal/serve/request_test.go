@@ -130,7 +130,7 @@ func TestManifestHashStable(t *testing.T) {
 	if m1.ConfigHash == "" || m1.ConfigHash != m2.ConfigHash {
 		t.Errorf("manifest hash unstable: %q vs %q", m1.ConfigHash, m2.ConfigHash)
 	}
-	if !m1.Config.Streaming || m1.Config.Shards != 2 {
+	if !m1.Config.Streaming || m1.Config.Workers != 2 || m1.Config.Shards != 0 {
 		t.Errorf("manifest config = %+v", m1.Config)
 	}
 }

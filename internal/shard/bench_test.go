@@ -14,7 +14,7 @@ import (
 
 // benchShardConfig is the scaling benchmark's datacenter: 12.5k servers in
 // 25-server circulations (500 circulations) over a month of 5-minute
-// intervals — 8640 columns, the production scale the sharded layer exists
+// intervals — 8640 columns, the production scale range parallelism exists
 // for. The decision cache runs quantized (1/512), the documented bounded-
 // memory setting for month-scale runs, so the benchmark measures the
 // pipeline rather than an unbounded cache's growth.
@@ -30,7 +30,7 @@ func benchShardTrace(servers int) trace.GeneratorConfig {
 	return gcfg
 }
 
-// benchShardCounts is the scaling ladder: 1/2/4/8 shards plus GOMAXPROCS
+// benchShardCounts is the scaling ladder: 1/2/4/8 ranges plus GOMAXPROCS
 // (deduplicated), so the emitted BENCH_shard.json always carries the
 // machine's own full-width point.
 func benchShardCounts() []int {
@@ -45,9 +45,9 @@ func benchShardCounts() []int {
 	return out
 }
 
-// BenchmarkShardScaling runs the full month-scale trace through the sharded
-// pipeline at each rung of the shard ladder, plus the unsharded engine as
-// the zero-overhead referee. One op is one complete run (8640 intervals x
+// BenchmarkShardScaling runs the full month-scale trace through the run loop
+// at each rung of the parallelism ladder; the GOMAXPROCS rung is the
+// default configuration (Workers 0). One op is one complete run (8640 intervals x
 // 12500 servers); servers/s is server-intervals per second, the same unit
 // the interval-throughput benchmarks report, so the two tables compose.
 // `make bench` runs this with -benchtime 1x and lands the test2json stream
@@ -60,23 +60,6 @@ func BenchmarkShardScaling(b *testing.B) {
 		b.ReportMetric(float64(servers)*float64(intervals)*float64(b.N)/b.Elapsed().Seconds(), "servers/s")
 	}
 
-	b.Run("engine=unsharded", func(b *testing.B) {
-		cfg := benchShardConfig()
-		for i := 0; i < b.N; i++ {
-			src, err := trace.NewGeneratorSource(gcfg, 42)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng, err := core.NewEngine(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eng.RunSource(src, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		ops(b)
-	})
 	for _, shards := range benchShardCounts() {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			cfg := benchShardConfig()
@@ -90,30 +73,6 @@ func BenchmarkShardScaling(b *testing.B) {
 				}
 			}
 			ops(b)
-		})
-	}
-}
-
-// BenchmarkShardPrefetch isolates the prefetch pipeline: 2-shard runs over a
-// short trace at depth 1 (decode and compute strictly alternate) versus the
-// double-buffered default, so the decode-overlap win is visible on its own.
-func BenchmarkShardPrefetch(b *testing.B) {
-	const servers = 2000
-	gcfg := trace.CommonConfig(servers)
-	intervals := int(gcfg.Horizon / gcfg.Interval)
-	for _, prefetch := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("prefetch=%d", prefetch), func(b *testing.B) {
-			cfg := benchShardConfig()
-			for i := 0; i < b.N; i++ {
-				src, err := trace.NewGeneratorSource(gcfg, 42)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := RunSource(cfg, src, &Options{Shards: 2, Prefetch: prefetch}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(servers)*float64(intervals)*float64(b.N)/b.Elapsed().Seconds(), "servers/s")
 		})
 	}
 }

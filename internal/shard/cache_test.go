@@ -106,3 +106,29 @@ func TestShardedSeasonalResumeWarmsResumeColdSide(t *testing.T) {
 		t.Errorf("first resumed interval: %d hits of %d decisions, want every decision a hit", hits, calls)
 	}
 }
+
+// TestCheckpointCacheKeysBoundedAtCap pins the checkpoint size in the default
+// exact quantum: a 4-shard run decides 28,800 mostly fresh planes a day,
+// filling the run's one decision cache to its cap, and no checkpoint may list
+// more keys than that cap — a per-shard cache union would list up to four
+// times as many.
+func TestCheckpointCacheKeysBoundedAtCap(t *testing.T) {
+	const cacheCap = 4 * 4096 // sched's decision-cache entry cap
+	cfg := core.DefaultConfig(sched.Original)
+	cfg.ServersPerCirculation = 4 // 100 circulations
+	g := trace.CommonConfig(400)
+	g.Horizon = 24 * time.Hour
+	most := 0
+	write := func(cp *Checkpoint) error {
+		if n := len(cp.Merged.CacheKeys); n > cacheCap {
+			t.Errorf("checkpoint at %d lists %d cache keys, past the cap %d", cp.Merged.NextInterval, n, cacheCap)
+		} else if n > most {
+			most = n
+		}
+		return nil
+	}
+	shardedRun(t, cfg, g, 3, &Options{Shards: 4, Checkpoint: &CheckpointOptions{Every: 48, Write: write}})
+	if most != cacheCap {
+		t.Errorf("checkpoints list at most %d cache keys; the test needs a full cache (%d)", most, cacheCap)
+	}
+}

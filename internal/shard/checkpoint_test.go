@@ -115,58 +115,69 @@ func TestSingleShardResumesAlone(t *testing.T) {
 	}
 }
 
-// TestCheckpointLayoutValidation rejects resume under a mismatched shard
-// layout with a typed *LayoutError — distinguishable from data corruption —
-// while trace/scheme/progress mismatches still surface as the core engine's
-// own validation errors.
+// TestCheckpointLayoutValidation pins that a checkpoint resumes under any
+// layout: one taken at 4 shards resumes at 1, 2, 3, 4, 0 (all CPUs) and 64
+// (clamped) shards with a Result bit-identical to the uninterrupted run, and
+// so does an envelope in the pre-unification format, whose "shards",
+// "ranges" and "per_shard" fields are ignored. Corruption of the engine
+// checkpoint itself is still rejected.
 func TestCheckpointLayoutValidation(t *testing.T) {
 	const servers, seed, haltAfter = 60, 3, 40
 	gcfg := trace.CommonConfig(servers)
 	genSeed := trace.CanonicalSeed(seed, 0)
 	cfg := shardConfig(sched.Original)
+	want := unshardedRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
 	cp := haltShardedRun(t, cfg, gcfg, genSeed, &Options{Shards: 4, KeepSeries: true, HaltAfter: haltAfter})
 
-	resume := func(c *Checkpoint, shards int) error {
+	resume := func(c *Checkpoint, shards int) (*core.Result, error) {
 		src, err := trace.NewGeneratorSource(gcfg, genSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = RunSource(cfg, src, &Options{Shards: shards, KeepSeries: true, Resume: c})
-		return err
+		return RunSource(cfg, src, &Options{Shards: shards, KeepSeries: true, Resume: c})
 	}
 
-	// The pristine checkpoint resumes under its own layout.
-	if err := resume(clone(t, cp), 4); err != nil {
-		t.Fatalf("pristine checkpoint rejected: %v", err)
-	}
-
-	layoutCases := []struct {
-		name   string
-		shards int
-		mutate func(*Checkpoint)
-	}{
-		{"resume with different shard count", 2, func(c *Checkpoint) {}},
-		{"declared shard count", 4, func(c *Checkpoint) { c.Shards = 3 }},
-		{"range bounds", 4, func(c *Checkpoint) { c.Ranges[1].Hi++; c.Ranges[2].Lo++ }},
-		{"per-shard record range", 4, func(c *Checkpoint) { c.PerShard[0].Range.Hi++ }},
-		{"per-shard sensor count", 4, func(c *Checkpoint) {
-			c.PerShard[2].Sensors = c.PerShard[2].Sensors[:1]
-		}},
-		{"missing shard record", 4, func(c *Checkpoint) { c.PerShard = c.PerShard[:3] }},
-	}
-	for _, tc := range layoutCases {
-		c := clone(t, cp)
-		tc.mutate(c)
-		err := resume(c, tc.shards)
-		var le *LayoutError
-		if !errors.As(err, &le) {
-			t.Errorf("%s: err = %v, want *LayoutError", tc.name, err)
+	for _, shards := range []int{1, 2, 3, 4, 0, 64} {
+		got, err := resume(clone(t, cp), shards)
+		if err != nil {
+			t.Fatalf("resume at %d shards: %v", shards, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("resume at %d shards differs from the uninterrupted run", shards)
 		}
 	}
 
-	// Non-layout corruption is the core engine's to reject — and must NOT
-	// masquerade as a layout problem.
-	coreCases := []struct {
+	// A legacy envelope: the same record plus the layout fields older
+	// writers emitted.
+	blob, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["shards"] = json.RawMessage(`4`)
+	fields["ranges"] = json.RawMessage(`[{"lo":0,"hi":3},{"lo":3,"hi":6},{"lo":6,"hi":9},{"lo":9,"hi":12}]`)
+	fields["per_shard"] = json.RawMessage(`[{"range":{"lo":0,"hi":3},"sensors":[]}]`)
+	if blob, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	legacy := new(Checkpoint)
+	if err := json.Unmarshal(blob, legacy); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 4} {
+		got, err := resume(legacy, shards)
+		if err != nil {
+			t.Fatalf("legacy envelope at %d shards: %v", shards, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("legacy envelope resumed at %d shards differs from the uninterrupted run", shards)
+		}
+	}
+
+	corrupt := []struct {
 		name   string
 		mutate func(*Checkpoint)
 	}{
@@ -177,17 +188,11 @@ func TestCheckpointLayoutValidation(t *testing.T) {
 		{"progress past end", func(c *Checkpoint) { c.Merged.NextInterval = c.Merged.Intervals }},
 		{"merged sensor count", func(c *Checkpoint) { c.Merged.Sensors = c.Merged.Sensors[:5] }},
 	}
-	for _, tc := range coreCases {
+	for _, tc := range corrupt {
 		c := clone(t, cp)
 		tc.mutate(c)
-		err := resume(c, 4)
-		if err == nil {
+		if _, err := resume(c, 4); err == nil {
 			t.Errorf("%s: corrupted checkpoint accepted", tc.name)
-			continue
-		}
-		var le *LayoutError
-		if errors.As(err, &le) {
-			t.Errorf("%s: err = %v, want a non-layout error", tc.name, err)
 		}
 	}
 }

@@ -1,468 +1,118 @@
+// Package shard is the range-partitioned run API kept as an adapter over the
+// engine's one run loop (core.Engine.RunSourceContext). That loop already
+// splits every run into contiguous circulation ranges stepped in parallel,
+// prefetches the next trace column and merges in interval order; this
+// package only maps its Options onto core.RunOptions, with Shards as the
+// run's parallelism (core.Config.Workers), and wraps checkpoints in the
+// versioned envelope earlier releases persisted. Results are bit-identical
+// to the engine's for every shard count, and a checkpoint written at one
+// shard count resumes at any other.
 package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/h2p-sim/h2p/internal/core"
-	"github.com/h2p-sim/h2p/internal/hydro"
 	"github.com/h2p-sim/h2p/internal/trace"
 )
 
-// DefaultPrefetch is the default column-prefetch pipeline depth: double
-// buffering, so the decoder produces interval t+1 while the shards compute
-// interval t.
-const DefaultPrefetch = 2
-
-// Options shapes one sharded run. The zero value (and a nil *Options) runs
-// with one shard per CPU, double-buffered prefetch, no retained series and
-// no checkpoints.
+// Options shapes one run. The zero value (and a nil *Options) runs with one
+// range per CPU, no retained series and no checkpoints.
 type Options struct {
-	// Shards is the number of engine shards. 0 resolves through
-	// core.ResolveParallelism (all CPUs); counts above the circulation
-	// count clamp down so no shard is empty. Results are bit-identical for
-	// any value.
+	// Shards is the run's parallelism: it replaces core.Config.Workers, so 0
+	// means all CPUs and counts above the circulation count clamp down.
+	// Results are bit-identical for any value.
 	Shards int
-	// Prefetch is the column pipeline depth in slots: how many intervals
-	// the decoder may run ahead of the merger. 0 means DefaultPrefetch; 1
-	// disables prefetch (decode and compute strictly alternate). Results
-	// are bit-identical for any depth.
-	Prefetch int
 	// KeepSeries retains every IntervalResult in Result.Intervals, exactly
 	// like core.RunOptions.KeepSeries.
 	KeepSeries bool
 	// OnInterval, when non-nil, observes each merged interval in interval
-	// order from the merger goroutine.
+	// order.
 	OnInterval func(interval int, ir core.IntervalResult)
-	// Checkpoint enables periodic sharded checkpoints.
+	// Checkpoint enables periodic checkpoints.
 	Checkpoint *CheckpointOptions
-	// Resume continues a sharded run from its checkpoint. The layout
-	// (shard count and ranges) must match the resuming run's; mismatches
-	// come back as *LayoutError before any simulation work.
+	// Resume continues a run from its checkpoint, whatever shard count
+	// wrote it.
 	Resume *Checkpoint
 	// HaltAfter, when positive, stops the run at the boundary after
 	// interval HaltAfter-1 is merged, writes a checkpoint (if configured)
-	// and returns core.ErrHalted — the same kill/resume drill the
-	// unsharded engine runs.
+	// and returns core.ErrHalted, like core.RunOptions.HaltAfter.
 	HaltAfter int
-	// Observer, when non-nil, receives the same run-lifecycle callbacks the
-	// unsharded loop delivers (core.RunOptions.Observer), from the merger
-	// goroutine in interval order. An observer additionally implementing
+	// Observer, when non-nil, receives the run-lifecycle callbacks of
+	// core.RunOptions.Observer. An observer additionally implementing
 	// StatsSink gets the pipeline's timing counters, and one implementing
-	// core.CacheStatsSink gets the shard-summed decision-cache stats.
-	// Results are bit-identical with or without an observer.
+	// core.CacheStatsSink gets the run's decision-cache stats.
 	Observer core.RunObserver
 }
 
-// CheckpointOptions configures periodic sharded checkpointing.
+// CheckpointOptions configures periodic checkpointing.
 type CheckpointOptions struct {
 	// Every is the checkpoint cadence in intervals, like
 	// core.CheckpointOptions.Every.
 	Every int
-	// Write persists one sharded checkpoint. It is called from the merger
-	// with every shard drained to the boundary (the decoder gates the
-	// boundary interval until Write returns), so the snapshot is quiescent;
-	// a Write error aborts the run.
+	// Write persists one checkpoint; a Write error aborts the run.
 	Write func(*Checkpoint) error
 }
 
-// shards resolves the option's shard count against n circulations.
-func (o *Options) ranges(n int) []Range {
-	if o == nil {
-		return Partition(n, 0)
-	}
-	return Partition(n, o.Shards)
+// Stats is the run loop's pipeline timing read (core.ShardStats).
+type Stats = core.ShardStats
+
+// StatsSink is implemented by observers that want Stats
+// (core.ShardStatsSink).
+type StatsSink = core.ShardStatsSink
+
+// CheckpointVersion is the checkpoint envelope's schema version; the
+// embedded engine checkpoint carries (and validates) its own
+// core.CheckpointVersion.
+const CheckpointVersion = 1
+
+// Checkpoint is a run frozen at an interval boundary: the engine's
+// checkpoint in a versioned envelope. Merged is complete and independent of
+// the shard count, so any layout resumes it, and core.Engine.RunSource can
+// resume it directly. Envelopes written before the run loop was unified also
+// carry "shards", "ranges" and "per_shard" fields; decoding ignores them and
+// Merged alone resumes the run.
+type Checkpoint struct {
+	Version int             `json:"version"`
+	Merged  core.Checkpoint `json:"merged"`
 }
 
-// slot is one pipeline stage: a decoded column and the global per-circulation
-// contribution array every shard writes its range of. pending counts shards
-// still stepping the slot; the shard that zeroes it hands the slot to the
-// merger.
-type slot struct {
-	interval  int
-	decodeErr error
-	col       []float64
-	parts     []core.CirculationInterval
-	errs      []error
-	pending   atomic.Int32
-}
-
-// RunSource evaluates a source under cfg across range-partitioned engine
-// shards. See Run.
+// RunSource evaluates a source under cfg. See Run.
 func RunSource(cfg core.Config, src trace.Source, opts *Options) (*core.Result, error) {
 	return Run(context.Background(), nil, cfg, src, opts)
 }
 
-// Run is the sharded streaming run loop. It partitions the source's
-// circulations into contiguous ranges (Partition), builds one engine per
-// range on the fleet (own decision cache, batch scratch, fault-injector view;
-// one shared immutable look-up space — a nil fleet gets a private one), and
-// pipelines the run through three stages:
-//
-//	decoder:  pulls column t+1 from src while the shards compute t
-//	          (Options.Prefetch slots of headroom, backpressured by the
-//	          merger returning slots)
-//	shards:   each steps its circulation range through the batched column
-//	          kernel — no barrier and no shared mutable state between
-//	          shards, so an interval's tail circulation never stalls the
-//	          next interval's head
-//	merger:   folds shard contributions in circulation order within each
-//	          interval and interval order across the run, through the
-//	          engine's own core.MergeInterval and core.Aggregator
-//
-// The Result is bit-identical to core.Engine.RunSource over the same source
-// and configuration for every trace class, scheme, shard count, prefetch
-// depth and fault plan (see the package comment for why, and the equivalence
-// suites for the enforcement).
-//
-// Checkpoints drain the pipeline to the boundary: the decoder will not
-// dispatch the boundary interval until the merger has snapshotted every
-// shard and written the checkpoint, so per-shard sensor state is quiescent
-// and the merged record is exactly what the unsharded engine would have
-// written.
+// Run evaluates src under cfg with opts.Shards as the parallelism, on an
+// engine from fleet (a nil fleet gets a private one).
 func Run(ctx context.Context, fleet *core.Fleet, cfg core.Config, src trace.Source, opts *Options) (*core.Result, error) {
-	meta := src.Meta()
-	if err := meta.Validate(); err != nil {
-		return nil, err
-	}
-	nCircs := cfg.Circulations(meta.Servers)
-	if nCircs == 0 {
-		return nil, errors.New("shard: trace has no servers to form a circulation")
-	}
-	ranges := opts.ranges(nCircs)
-	shards := len(ranges)
-	prefetch := DefaultPrefetch
-	if opts != nil && opts.Prefetch > 0 {
-		prefetch = opts.Prefetch
+	if opts == nil {
+		opts = &Options{}
 	}
 	if fleet == nil {
 		fleet = core.NewFleet()
 	}
-
-	runners := make([]*core.ShardRunner, shards)
-	for s, r := range ranges {
-		eng, err := fleet.Engine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if runners[s], err = eng.NewShardRunner(meta.Servers, r.Lo, r.Hi); err != nil {
-			return nil, err
-		}
+	cfg.Workers = opts.Shards
+	eng, err := fleet.Engine(cfg)
+	if err != nil {
+		return nil, err
 	}
-	met := newShardMetrics(cfg.Telemetry, shards, prefetch)
-
-	var obs core.RunObserver
-	var stats *statsCollector
-	if opts != nil && opts.Observer != nil {
-		obs = opts.Observer
-		if sink, ok := obs.(core.CacheStatsSink); ok {
-			sink.AttachCacheStats(func() (hits, calls uint64) {
-				for _, r := range runners {
-					h, c := r.CacheStats()
-					hits += h
-					calls += c
-				}
-				return hits, calls
-			})
-		}
-		if sink, ok := obs.(StatsSink); ok {
-			stats = newStatsCollector(shards)
-			sink.AttachShardStats(stats.snapshot)
-		}
+	ro := &core.RunOptions{
+		KeepSeries: opts.KeepSeries,
+		OnInterval: opts.OnInterval,
+		HaltAfter:  opts.HaltAfter,
+		Observer:   opts.Observer,
 	}
-	// timed gates the pipeline's clock reads: they exist for the telemetry
-	// registry and/or the observer's stats, and are skipped entirely — no
-	// time.Now anywhere in the pipeline — when neither is attached.
-	timed := met != nil || stats != nil
-
-	keepSeries := opts != nil && opts.KeepSeries
-	agg := core.NewAggregator(meta, cfg, keepSeries)
-	start := 0
-	if opts != nil && opts.Resume != nil {
-		cp := opts.Resume
-		if err := cp.validateFor(meta, cfg, ranges, keepSeries); err != nil {
-			return nil, err
+	if cp := opts.Resume; cp != nil {
+		if cp.Version != CheckpointVersion {
+			return nil, fmt.Errorf("shard: checkpoint version %d, this layer speaks %d", cp.Version, CheckpointVersion)
 		}
-		start = cp.Merged.NextInterval
-		agg.Restore(&cp.Merged)
-		for s := range runners {
-			if err := runners[s].RestoreSensorStates(cp.PerShard[s].Sensors); err != nil {
-				return nil, err
-			}
-			runners[s].WarmCache(cp.PerShard[s].CacheKeys, start)
-		}
-		if err := trace.Skip(src, start); err != nil {
-			return nil, err
-		}
-		if obs != nil {
-			obs.ObserveResume(start)
-		}
+		ro.Resume = &cp.Merged
 	}
-
-	// The halt boundary, resolved the way the unsharded loop would hit it:
-	// the first boundary at or past HaltAfter that is not the end of the
-	// trace. It doubles as the decoder's end bound — intervals past it are
-	// never decoded.
-	end := meta.Intervals
-	haltDone := 0
-	if opts != nil && opts.HaltAfter > 0 {
-		haltDone = opts.HaltAfter
-		if haltDone <= start {
-			haltDone = start + 1
-		}
-		if haltDone >= meta.Intervals {
-			haltDone = 0
-		} else {
-			end = haltDone
-		}
+	if c := opts.Checkpoint; c != nil && c.Write != nil {
+		ro.Checkpoint = &core.CheckpointOptions{Every: c.Every, Write: func(cp *core.Checkpoint) error {
+			return c.Write(&Checkpoint{Version: CheckpointVersion, Merged: *cp})
+		}}
 	}
-	cpEnabled := opts != nil && opts.Checkpoint != nil && opts.Checkpoint.Write != nil
-	boundary := func(done int) bool {
-		if !cpEnabled {
-			return false
-		}
-		if haltDone > 0 && done == haltDone {
-			return true
-		}
-		every := opts.Checkpoint.Every
-		return every > 0 && done%every == 0 && done < meta.Intervals
-	}
-
-	free := make(chan *slot, prefetch)
-	for k := 0; k < prefetch; k++ {
-		sl := &slot{
-			col:   make([]float64, meta.Servers),
-			parts: make([]core.CirculationInterval, nCircs),
-			errs:  make([]error, nCircs),
-		}
-		free <- sl
-	}
-	work := make([]chan *slot, shards)
-	for s := range work {
-		work[s] = make(chan *slot, prefetch)
-	}
-	mergeCh := make(chan *slot, prefetch)
-	gate := make(chan struct{}, 1)
-
-	ctx, cancel := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	defer wg.Wait() // after cancel below: stop the pipeline, then join it
-	defer cancel()
-
-	// Decoder: the only goroutine touching src (sources are single-stream
-	// state). It runs up to prefetch intervals ahead — the free channel is
-	// the backpressure — and parks at checkpoint boundaries until the
-	// merger's snapshot is durable.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			for _, ch := range work {
-				close(ch)
-			}
-		}()
-		for i := start; i < end; i++ {
-			if i > start && boundary(i) {
-				select {
-				case <-gate:
-				case <-ctx.Done():
-					return
-				}
-			}
-			var sl *slot
-			select {
-			case sl = <-free:
-			case <-ctx.Done():
-				return
-			}
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
-			got, err := src.NextColumn(sl.col)
-			if err != nil {
-				err = fmt.Errorf("shard: source at interval %d: %w", i, err)
-			} else if got != i {
-				err = fmt.Errorf("shard: source delivered interval %d, want %d", got, i)
-			}
-			sl.interval = i
-			sl.decodeErr = err
-			if err != nil {
-				sl.pending.Store(0)
-				select {
-				case mergeCh <- sl:
-				case <-ctx.Done():
-				}
-				return
-			}
-			met.observeDecode(i, t0)
-			stats.observeDecode(t0)
-			sl.pending.Store(int32(shards))
-			for _, ch := range work {
-				select {
-				case ch <- sl:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-
-	// Shard workers: one goroutine per shard, each the sole owner of its
-	// runner. The last shard to finish a slot hands it to the merger —
-	// slots can therefore arrive out of interval order, which the merger
-	// reorders below.
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			r := ranges[s]
-			runner := runners[s]
-			for {
-				var sl *slot
-				select {
-				case got, ok := <-work[s]:
-					if !ok {
-						return
-					}
-					sl = got
-				case <-ctx.Done():
-					return
-				}
-				var t0 time.Time
-				if timed {
-					t0 = time.Now()
-				}
-				runner.Step(sl.col, sl.interval, sl.parts[r.Lo:r.Hi], sl.errs[r.Lo:r.Hi])
-				met.observeStep(s, sl.interval, t0)
-				stats.observeStep(s, t0)
-				if sl.pending.Add(-1) == 0 {
-					select {
-					case mergeCh <- sl:
-					case <-ctx.Done():
-						return
-					}
-				}
-			}
-		}(s)
-	}
-
-	// Merger, on the caller's goroutine: fold intervals strictly in order,
-	// buffering early arrivals, and surface the same errors at the same
-	// intervals the unsharded loop would.
-	early := make(map[int]*slot, prefetch)
-	for i := start; i < end; i++ {
-		sl, ok := early[i]
-		if ok {
-			delete(early, i)
-		} else {
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
-			for sl == nil {
-				select {
-				case got := <-mergeCh:
-					if got.interval == i {
-						sl = got
-					} else {
-						early[got.interval] = got
-					}
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-			met.observeMergeWait(i, t0)
-			stats.observeMergeWait(t0)
-		}
-		if sl.decodeErr != nil {
-			return nil, sl.decodeErr
-		}
-		for ci, serr := range sl.errs {
-			if serr != nil {
-				return nil, fmt.Errorf("interval %d circulation %d: %w", i, ci, serr)
-			}
-		}
-		ir := core.MergeInterval(sl.col, sl.parts)
-		agg.Fold(ir)
-		if opts != nil && opts.OnInterval != nil {
-			opts.OnInterval(i, ir)
-		}
-		if obs != nil {
-			obs.ObserveInterval(i, ir)
-		}
-		free <- sl
-
-		done := i + 1
-		if boundary(done) {
-			// Quiescent by construction: every interval < done has been
-			// merged (so every shard finished stepping it), and the decoder
-			// is parked on the gate (or, at the halt boundary, past its end
-			// bound), so no shard has seen interval done.
-			var t0 time.Time
-			if met != nil {
-				t0 = time.Now()
-			}
-			cp := checkpointAt(agg, ranges, runners)
-			if err := opts.Checkpoint.Write(cp); err != nil {
-				return nil, fmt.Errorf("shard: checkpoint at interval %d: %w", done, err)
-			}
-			met.observeCheckpoint(done, t0)
-			if obs != nil {
-				obs.ObserveCheckpoint(done)
-			}
-			if done != haltDone {
-				select {
-				case gate <- struct{}{}:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-		}
-		if haltDone > 0 && done == haltDone {
-			if obs != nil {
-				obs.ObserveHalt(done)
-			}
-			return nil, core.ErrHalted
-		}
-	}
-	return agg.Finalize(), nil
-}
-
-// checkpointAt freezes the sharded run at the merger's current boundary. The
-// merged record's sensors are the shard snapshots concatenated in global
-// circulation order and its cache keys are the deduplicated union of the
-// shards' caches, so it is exactly the checkpoint the unsharded engine would
-// write at this boundary.
-func checkpointAt(agg *core.Aggregator, ranges []Range, runners []*core.ShardRunner) *Checkpoint {
-	merged := agg.Checkpoint()
-	per := make([]ShardState, len(ranges))
-	sensors := make([]hydro.SensorState, 0, cap(merged.Sensors))
-	seen := make(map[uint64]struct{})
-	var keys []uint64
-	for s, r := range ranges {
-		st := runners[s].SensorStates()
-		ck := runners[s].CacheKeys()
-		per[s] = ShardState{Range: r, Sensors: st, CacheKeys: ck}
-		sensors = append(sensors, st...)
-		for _, k := range ck {
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				keys = append(keys, k)
-			}
-		}
-	}
-	merged.Sensors = sensors
-	merged.CacheKeys = keys
-	return &Checkpoint{
-		Version:  CheckpointVersion,
-		Shards:   len(ranges),
-		Ranges:   ranges,
-		Merged:   *merged,
-		PerShard: per,
-	}
+	return eng.RunSourceContext(ctx, src, ro)
 }

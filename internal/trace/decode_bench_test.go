@@ -79,7 +79,7 @@ func BenchmarkCSVSourceOpen(b *testing.B) {
 	reportNsPerCell(b, cells)
 }
 
-// BenchmarkCSVSourceDecode is a full read of the file, as h2psim -stream
+// BenchmarkCSVSourceDecode is a full read of the file, as h2psim -trace
 // does it: open, every column, close.
 func BenchmarkCSVSourceDecode(b *testing.B) {
 	path := writeBenchCSV(b)

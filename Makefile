@@ -1,11 +1,18 @@
 GO ?= go
 
-.PHONY: all build vet vuln test race check telemetry-check fault-check fuzz-check stream-check kernel-check shard-check obs-check serve-check env-check load-check bench bench-all experiments clean
+.PHONY: all build fmt vet vuln test race check telemetry-check fault-check fuzz-check stream-check kernel-check shard-check obs-check serve-check env-check load-check bench bench-all experiments clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file in the tree is not gofmt-formatted, listing
+# the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -71,9 +78,10 @@ stream-check:
 
 # kernel-check gates the batched column kernels under the race detector:
 # the SoA gather/eval kernels in internal/lookup, the DecideBatch cache-probe
-# and scan phases in internal/sched (including the fuzz corpus replayed as
-# unit tests), and the engine-level batch-vs-serial bit-equality suites in
-# internal/core (every class x scheme x worker count x fault plan).
+# and scan phases in internal/sched against the scalar test oracle (including
+# the fuzz corpus replayed as unit tests), and the engine-level suites in
+# internal/core that pin whole-range batching to each circulation stepped
+# alone (every class x scheme x worker count x fault plan).
 kernel-check:
 	$(GO) test -race -run 'Batch|Kernel|Segment|Gather' \
 		./internal/lookup ./internal/sched ./internal/core
@@ -133,19 +141,19 @@ load-check:
 		-servers 60 -intervals 24 -submit-burst 50 \
 		-expect-accepted 50 -expect-rejected 5
 
-# check is the tier-1 gate: vet + best-effort vuln scan + build +
+# check is the tier-1 gate: gofmt + vet + best-effort vuln scan + build +
 # race-enabled tests + the fuzz smoke run. `race` already runs every test
 # once under the race detector, so the layer gates above (telemetry-,
 # fault-, stream-, kernel-, shard-, obs-, serve- and env-check) are not
 # prerequisites: they re-run subsets of the same tests and stay as
 # developer shortcuts for working on one layer.
-check: vet vuln build race fuzz-check
+check: fmt vet vuln build race fuzz-check
 
 # bench tracks the decision hot path across PRs: the Decision* benchmarks in
 # internal/lookup (candidate scan) and internal/sched (controller) run with
 # -benchmem and land in BENCH_decision.json as a test2json stream, and the
 # end-to-end IntervalThroughput* benchmarks in internal/core (10k-server
-# columns through the batched step, batch vs. pinned-serial) land in
+# columns through the batched step, cache-churn and warm regimes) land in
 # BENCH_interval.json, followed by DecideBatchExactChurn in internal/sched
 # (a 10k-server exact-quantum column against a full decision cache — the
 # default configuration's steady state; TestDecideBatchExactChurnAllocationFree

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -19,11 +20,63 @@ func degradePlan() *fault.Plan {
 	}}
 }
 
-// TestBatchMatchesSerialEngine is the tentpole acceptance pin at the engine
-// layer: for every trace class, scheme, worker count and fault plan, the
-// batched interval path (the default) must reproduce the legacy
-// per-circulation path (DisableBatch) bit for bit — every summary metric and
-// every IntervalResult. make kernel-check runs it under -race.
+// perCirculationRun is the engine-level referee: it steps every circulation
+// alone, in index order, through its own one-circulation ShardRunner — so
+// each decision is a single-group batch call and a decide failure under a
+// fault plan retries that circulation alone — then merges each interval
+// with MergeInterval and folds it with NewAggregator, outside the pipelined
+// run loop. A failing step surfaces with the run loop's message.
+func perCirculationRun(cfg Config, src trace.Source, keepSeries bool) (*Result, error) {
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	meta := src.Meta()
+	runners := make([]*ShardRunner, cfg.Circulations(meta.Servers))
+	for ci := range runners {
+		if runners[ci], err = eng.NewShardRunner(meta.Servers, ci, ci+1); err != nil {
+			return nil, err
+		}
+	}
+	agg := NewAggregator(meta, cfg, keepSeries)
+	col := make([]float64, meta.Servers)
+	parts := make([]CirculationInterval, len(runners))
+	errs := make([]error, len(runners))
+	for i := 0; i < meta.Intervals; i++ {
+		if _, err := src.NextColumn(col); err != nil {
+			return nil, err
+		}
+		for ci, r := range runners {
+			r.Step(col, i, parts[ci:ci+1], errs[ci:ci+1])
+			if errs[ci] != nil {
+				return nil, fmt.Errorf("interval %d circulation %d: %w", i, ci, errs[ci])
+			}
+		}
+		agg.Fold(MergeInterval(col, parts))
+	}
+	return agg.Finalize(), nil
+}
+
+// perCirculationTraceRun is perCirculationRun over a materialized trace with
+// the series retained, the shape Engine.Run returns.
+func perCirculationTraceRun(t *testing.T, cfg Config, tr *trace.Trace) *Result {
+	t.Helper()
+	src, err := trace.NewTraceSource(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := perCirculationRun(cfg, src, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestBatchMatchesSerialEngine is the acceptance pin at the engine layer:
+// for every trace class, scheme, worker count and fault plan, the run loop —
+// whole ranges through one batched column call — must reproduce the
+// per-circulation referee bit for bit: every summary metric and every
+// IntervalResult. make kernel-check runs it under -race.
 func TestBatchMatchesSerialEngine(t *testing.T) {
 	const servers, seed = 60, 31
 	plans := []*fault.Plan{nil, degradePlan()}
@@ -41,17 +94,7 @@ func TestBatchMatchesSerialEngine(t *testing.T) {
 					cfg.Faults = plan
 					cfg.FaultSeed = 77
 
-					serialCfg := cfg
-					serialCfg.DisableBatch = true
-					serialEng, err := NewEngine(serialCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := serialEng.Run(tr)
-					if err != nil {
-						t.Fatal(err)
-					}
-
+					want := perCirculationTraceRun(t, cfg, tr)
 					batchEng, err := NewEngine(cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -61,7 +104,7 @@ func TestBatchMatchesSerialEngine(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(want, got) {
-						t.Errorf("%s/%s workers=%d plan=%d: batch result differs from serial",
+						t.Errorf("%s/%s workers=%d plan=%d: batch result differs from the per-circulation referee",
 							gcfg.Class, scheme, workers, p)
 					}
 				}
@@ -84,16 +127,7 @@ func TestBatchMatchesSerialQuantized(t *testing.T) {
 		cfg.Workers = 4
 		cfg.DecisionQuantum = 1.0 / 512
 
-		serialCfg := cfg
-		serialCfg.DisableBatch = true
-		serialEng, err := NewEngine(serialCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := serialEng.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := perCirculationTraceRun(t, cfg, tr)
 		batchEng, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +137,7 @@ func TestBatchMatchesSerialQuantized(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s quantized: batch result differs from serial", scheme)
+			t.Errorf("%s quantized: batch result differs from the per-circulation referee", scheme)
 		}
 	}
 }
@@ -128,7 +162,8 @@ func (p *poisonedSource) NextColumn(dst []float64) (int, error) {
 
 // TestBatchDecideErrorMatchesSerial checks the no-injector decide-failure
 // path: a poisoned column must surface the same lowest-circulation error,
-// with the same message, on both paths.
+// with the same message, from the run loop and from the per-circulation
+// referee.
 func TestBatchDecideErrorMatchesSerial(t *testing.T) {
 	const servers = 60
 	gcfg := trace.CommonConfig(servers)
@@ -145,15 +180,9 @@ func TestBatchDecideErrorMatchesSerial(t *testing.T) {
 		cfg := smallConfig(sched.Original)
 		cfg.Workers = workers
 
-		serialCfg := cfg
-		serialCfg.DisableBatch = true
-		serialEng, err := NewEngine(serialCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, serialErr := serialEng.RunSource(poisoned(), nil)
-		if serialErr == nil {
-			t.Fatal("serial engine accepted a poisoned column")
+		_, refErr := perCirculationRun(cfg, poisoned(), false)
+		if refErr == nil {
+			t.Fatal("per-circulation referee accepted a poisoned column")
 		}
 		batchEng, err := NewEngine(cfg)
 		if err != nil {
@@ -163,17 +192,17 @@ func TestBatchDecideErrorMatchesSerial(t *testing.T) {
 		if batchErr == nil {
 			t.Fatal("batch engine accepted a poisoned column")
 		}
-		if serialErr.Error() != batchErr.Error() {
-			t.Errorf("workers=%d: batch error %q != serial %q", workers, batchErr, serialErr)
+		if refErr.Error() != batchErr.Error() {
+			t.Errorf("workers=%d: batch error %q != per-circulation %q", workers, batchErr, refErr)
 		}
 	}
 }
 
 // TestBatchDecideErrorDegradesUnderInjector checks the injector-active
 // decide-failure fallback: when the batch decision fails for a block under
-// an active fault plan, the block re-runs the legacy per-circulation path,
-// so the poisoned circulation degrades (exactly as serially) instead of
-// aborting the run.
+// an active fault plan, the block re-runs each circulation's own Step, so
+// the poisoned circulation degrades (exactly as when it is stepped alone)
+// instead of aborting the run.
 func TestBatchDecideErrorDegradesUnderInjector(t *testing.T) {
 	const servers = 60
 	gcfg := trace.CommonConfig(servers)
@@ -184,33 +213,31 @@ func TestBatchDecideErrorDegradesUnderInjector(t *testing.T) {
 		}
 		return &poisonedSource{Source: src, interval: 3, server: 25, value: 1.75}
 	}
-	cfg := smallConfig(sched.Original)
-	cfg.Workers = 4
-	cfg.Faults = &fault.Plan{Specs: []fault.Spec{{Kind: fault.TEGDegrade, Rate: 0.05, Severity: 0.5}}}
-	cfg.FaultSeed = 5
+	// At Workers 1 the poisoned circulation shares its block with two
+	// healthy ones, which must re-step rather than degrade with it.
+	for _, workers := range streamEquivWorkers {
+		cfg := smallConfig(sched.Original)
+		cfg.Workers = workers
+		cfg.Faults = &fault.Plan{Specs: []fault.Spec{{Kind: fault.TEGDegrade, Rate: 0.05, Severity: 0.5}}}
+		cfg.FaultSeed = 5
 
-	serialCfg := cfg
-	serialCfg.DisableBatch = true
-	serialEng, err := NewEngine(serialCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serialEng.RunSource(poisoned(), nil)
-	if err != nil {
-		t.Fatalf("serial faulted engine errored instead of degrading: %v", err)
-	}
-	batchEng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := batchEng.RunSource(poisoned(), nil)
-	if err != nil {
-		t.Fatalf("batch faulted engine errored instead of degrading: %v", err)
-	}
-	if want.Faults.DegradedIntervals == 0 {
-		t.Fatal("poisoned circulation did not degrade on the serial path")
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("batch faulted result differs from serial")
+		want, err := perCirculationRun(cfg, poisoned(), false)
+		if err != nil {
+			t.Fatalf("workers=%d: per-circulation referee errored instead of degrading: %v", workers, err)
+		}
+		batchEng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := batchEng.RunSource(poisoned(), nil)
+		if err != nil {
+			t.Fatalf("workers=%d: batch faulted engine errored instead of degrading: %v", workers, err)
+		}
+		if want.Faults.DegradedIntervals == 0 {
+			t.Fatal("poisoned circulation did not degrade in the per-circulation referee")
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("workers=%d: batch faulted result differs from the per-circulation referee", workers)
+		}
 	}
 }

@@ -27,13 +27,9 @@ type Circulation struct {
 	// Lo and Hi bound the circulation's server slice in the trace column.
 	Lo, Hi int
 
-	scheme sched.Scheme
-	ctl    *sched.Controller
-	// serialDecide (Config.DisableBatch) pins Step's decision to the scalar
-	// reference path DecideSerial — per-server trilinear lookups — instead
-	// of the batched column kernels. Results are bit-identical either way.
-	serialDecide bool
-	plant        chiller.Plant
+	scheme     sched.Scheme
+	ctl        *sched.Controller
+	plant      chiller.Plant
 	pump       hydro.Pump
 	maxFlow    units.LitersPerHour
 	hxApproach units.Celsius
@@ -71,17 +67,16 @@ type Circulation struct {
 // control interval.
 func newCirculation(index, lo, hi int, cfg Config, ctl *sched.Controller, plant chiller.Plant, src env.Source, met *engineMetrics, inj *fault.Injector) Circulation {
 	return Circulation{
-		Index:        index,
-		Lo:           lo,
-		Hi:           hi,
-		scheme:       cfg.Scheme,
-		ctl:          ctl,
-		serialDecide: cfg.DisableBatch,
-		plant:        plant,
-		env:          src,
-		reuse:        cfg.Reuse,
-		met:          met,
-		inj:          inj,
+		Index:  index,
+		Lo:     lo,
+		Hi:     hi,
+		scheme: cfg.Scheme,
+		ctl:    ctl,
+		plant:  plant,
+		env:    src,
+		reuse:  cfg.Reuse,
+		met:    met,
+		inj:    inj,
 		sensor: hydro.LastGoodSensor{MaxStale: inj.MaxSensorStale()},
 		pump: hydro.Pump{
 			Name:       "circ",
@@ -180,7 +175,7 @@ func (c *Circulation) Step(col []float64, interval int) (CirculationInterval, er
 // stepWithDecision is Step with the interval's scheme decision already made
 // by the batched column kernel. The decision is a pure function of the
 // column, so precomputing it outside the retry loop changes no outcome: a
-// serial attempt that survives its injected-error check would recompute the
+// Step attempt that survives its injected-error check would recompute the
 // identical decision. Only the finish — injected-error check, harvest, pump,
 // plant — is retried; a circulation that fails every attempt degrades
 // exactly as under Step.
@@ -219,13 +214,7 @@ func (c *Circulation) stepOnce(col []float64, interval, attempt int) (Circulatio
 			c.Index, interval, attempt, fault.ErrInjected)
 	}
 	smp := c.env.At(interval)
-	var d sched.Decision
-	var err error
-	if c.serialDecide {
-		d, err = c.ctl.DecideSerialCold(col[c.Lo:c.Hi], c.scheme, smp.ColdSide, &c.scratch)
-	} else {
-		d, err = c.ctl.DecideIntoCold(col[c.Lo:c.Hi], c.scheme, smp.ColdSide, &c.scratch)
-	}
+	d, err := c.ctl.Decide(col[c.Lo:c.Hi], c.scheme, smp.ColdSide, &c.scratch)
 	if err != nil {
 		return CirculationInterval{}, err
 	}
@@ -251,8 +240,8 @@ func (c *Circulation) finishOnce(interval, attempt int, d *sched.Decision) (Circ
 
 // finish turns a scheme decision into the circulation's interval
 // contribution: TEG harvest, pump power, heat reuse, plant dispatch and the
-// fault accounting. It is the shared tail of the serial and batched step
-// paths. smp is the interval's environment sample — the same one the
+// fault accounting. It is the shared tail of Step (which decides the
+// circulation alone) and stepWithDecision (handed the batched decision). smp is the interval's environment sample — the same one the
 // decision was evaluated against.
 func (c *Circulation) finish(interval int, t0 time.Time, d sched.Decision, smp env.Sample) (CirculationInterval, error) {
 	ci := CirculationInterval{
@@ -280,8 +269,8 @@ func (c *Circulation) finish(interval int, t0 time.Time, d sched.Decision, smp e
 		// first-order under Original (servers share one setting; the hottest
 		// server dominates the ratio).
 		droopOutlet := c.ctl.Space.OutletTemp(d.PlaneU, realized, d.Setting.Inlet)
-		healthy := c.ctl.PowerAtCold(d.Setting, d.PlaneU, smp.ColdSide)
-		drooped := c.ctl.PowerAtCold(sched.Setting{Flow: realized, Inlet: d.Setting.Inlet}, d.PlaneU, smp.ColdSide)
+		healthy := c.ctl.PowerAt(d.Setting, d.PlaneU, smp.ColdSide)
+		drooped := c.ctl.PowerAt(sched.Setting{Flow: realized, Inlet: d.Setting.Inlet}, d.PlaneU, smp.ColdSide)
 		if healthy > 0 {
 			ci.TEGPower *= units.Watts(float64(drooped) / float64(healthy))
 		}

@@ -103,12 +103,6 @@ type Config struct {
 	// counts above the circulation count clamp to it. Results are
 	// bit-identical for any value.
 	Workers int
-	// DisableBatch forces the legacy per-circulation decide path instead of
-	// the batched column kernels (sched.Controller.DecideBatch). The batch
-	// path is bit-identical to the legacy one for every scheme, worker count
-	// and fault plan — this switch exists as the referee for the equivalence
-	// suites and for A/B benchmarking, not as a compatibility escape.
-	DisableBatch bool
 	// DecisionQuantum is the cooling controller's plane-utilization cache
 	// quantum (sched.Controller.CacheQuantum). 0 — the default, and the
 	// paper-faithful setting — memoizes exact planes only: they rarely
@@ -540,10 +534,10 @@ func (ws *workerState) grow(n int) {
 // The decision is a pure function of the column, so one DecideBatch serves
 // every retry attempt of every circulation in the block. If the batch
 // decision itself fails under an active fault injector, the block falls back
-// to the legacy per-circulation Step — reproducing exactly the serial
-// retry-then-degrade semantics for decide-stage failures. With no injector a
-// decide failure is fatal, attributed to the block's lowest failing
-// circulation with the untouched serial error.
+// to each circulation's own Step, which decides and retries that circulation
+// alone, so only the failing circulation degrades. With no injector a decide
+// failure is fatal, attributed to the block's lowest failing circulation
+// with its untouched error.
 func stepBlock(circs []Circulation, col []float64, interval int, ws *workerState, parts []CirculationInterval, errs []error) {
 	ws.grow(len(circs))
 	for k := range circs {

@@ -70,7 +70,8 @@ type HeterogeneousResult struct {
 	Circulations []int
 }
 
-// Run evaluates the trace over the mixed fleet.
+// Run evaluates the trace over the mixed fleet, deciding every interval
+// against the cold side Config.EnvSource gives it, as Engine.Run does.
 func (e *HeterogeneousEngine) Run(tr *trace.Trace) (HeterogeneousResult, error) {
 	if err := tr.Validate(); err != nil {
 		return HeterogeneousResult{}, err
@@ -89,12 +90,15 @@ func (e *HeterogeneousEngine) Run(tr *trace.Trace) (HeterogeneousResult, error) 
 	cpuSum := make([]float64, k)
 	serverIntervals := make([]float64, k)
 	col := make([]float64, tr.Servers())
+	src := e.cfg.EnvSource()
+	var sc sched.Scratch
 	for i := 0; i < tr.Intervals(); i++ {
 		var err error
 		col, err = tr.Column(i, col)
 		if err != nil {
 			return HeterogeneousResult{}, err
 		}
+		cold := src.At(i).ColdSide
 		circ := 0
 		for lo := 0; lo < tr.Servers(); lo += n {
 			hi := lo + n
@@ -108,7 +112,7 @@ func (e *HeterogeneousEngine) Run(tr *trace.Trace) (HeterogeneousResult, error) 
 			if i == 0 {
 				res.Circulations[sku]++
 			}
-			d, err := e.controllers[sku].Decide(col[lo:hi], e.cfg.Scheme)
+			d, err := e.controllers[sku].Decide(col[lo:hi], e.cfg.Scheme, cold, &sc)
 			if err != nil {
 				return HeterogeneousResult{}, err
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/h2p-sim/h2p/internal/cpu"
+	"github.com/h2p-sim/h2p/internal/env"
 	"github.com/h2p-sim/h2p/internal/sched"
 	"github.com/h2p-sim/h2p/internal/trace"
 )
@@ -68,34 +69,42 @@ func TestHeterogeneousRunMixedFleet(t *testing.T) {
 	}
 }
 
+// TestHeterogeneousMatchesHomogeneousWithOneSKU pins a one-SKU heterogeneous
+// run to the homogeneous engine on the same trace, under the default
+// constant environment and under a seasonal one whose cold side moves every
+// interval: both engines decide against the interval's cold side.
 func TestHeterogeneousMatchesHomogeneousWithOneSKU(t *testing.T) {
 	tr, err := trace.Generate(trace.CommonConfig(40), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := smallConfig(sched.Original)
-	het, err := NewHeterogeneousEngine(cfg, []cpu.Spec{cfg.Spec}, RoundRobinAssignment(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hres, err := het.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hom, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := hom.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(hres.AvgTEGPowerPerServer-res.AvgTEGPowerPerServer)) > 1e-9 {
-		t.Errorf("single-SKU heterogeneous %v diverges from homogeneous %v",
-			hres.AvgTEGPowerPerServer, res.AvgTEGPowerPerServer)
-	}
-	if math.Abs(hres.PRE-res.PRE) > 1e-9 {
-		t.Errorf("PRE diverges: %v vs %v", hres.PRE, res.PRE)
+	for _, src := range []env.Source{nil, env.DefaultSeasonal(1)} {
+		cfg := smallConfig(sched.Original)
+		cfg.Env = src
+		name := cfg.EnvSource().Name()
+		het, err := NewHeterogeneousEngine(cfg, []cpu.Spec{cfg.Spec}, RoundRobinAssignment(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hres, err := het.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hom, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := hom.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(float64(hres.AvgTEGPowerPerServer-res.AvgTEGPowerPerServer)) > 1e-9 {
+			t.Errorf("%s: single-SKU heterogeneous %v diverges from homogeneous %v",
+				name, hres.AvgTEGPowerPerServer, res.AvgTEGPowerPerServer)
+		}
+		if math.Abs(hres.PRE-res.PRE) > 1e-9 {
+			t.Errorf("%s: PRE diverges: %v vs %v", name, hres.PRE, res.PRE)
+		}
 	}
 }
 

@@ -72,6 +72,7 @@ func (e *Engine) ValidateQuasiStatic(tr *trace.Trace, maxIntervals int) (QuasiSt
 	col := make([]float64, tr.Servers())
 	secs := tr.Interval.Seconds()
 	const probe = 10.0 // seconds between mid-interval checks
+	var sc sched.Scratch
 	for i := 0; i < intervals; i++ {
 		var err error
 		col, err = tr.Column(i, col)
@@ -79,7 +80,7 @@ func (e *Engine) ValidateQuasiStatic(tr *trace.Trace, maxIntervals int) (QuasiSt
 			return QuasiStaticReport{}, err
 		}
 		us := col[:n]
-		d, err := e.controller.Decide(us, e.cfg.Scheme)
+		d, err := e.controller.Decide(us, e.cfg.Scheme, e.env.At(i).ColdSide, &sc)
 		if err != nil {
 			return QuasiStaticReport{}, err
 		}

@@ -31,17 +31,6 @@ type EvalParams struct {
 	Faults *fault.Plan
 	// FaultSeed fixes the fault activation draws (see core.Config.FaultSeed).
 	FaultSeed int64
-	// Streaming evaluates the traces through generator sources instead of
-	// materialized matrices: each engine pulls columns on the fly with an
-	// O(servers) working set. Results are bit-identical to the in-memory
-	// path — the generator source replays the exact RNG schedule Generate
-	// uses — so the flag only changes the memory profile.
-	Streaming bool
-	// SerialDecide pins every engine to the legacy per-server decide loop
-	// (see core.Config.DisableBatch) instead of the batched column kernels.
-	// Results are bit-identical; the flag exists for end-to-end A/B timing
-	// of the two interval data paths.
-	SerialDecide bool
 }
 
 // DefaultEvalParams is the paper's evaluation scale.
@@ -55,38 +44,16 @@ func (p EvalParams) Config(scheme sched.Scheme) core.Config {
 	cfg.Telemetry = p.Telemetry
 	cfg.Faults = p.Faults
 	cfg.FaultSeed = p.FaultSeed
-	cfg.DisableBatch = p.SerialDecide
 	return cfg
 }
 
-// runs the three-trace comparison once, every trace x scheme combination in
-// flight concurrently over one shared look-up space. The returned classes
-// identify the traces in run order; the callers only ever needed the class,
-// which is what lets the streaming path skip materializing the traces.
-// keepSeries is only consulted on the streaming path — the in-memory API
-// always retains the interval series.
+// runComparison runs the three-trace comparison once, every trace x scheme
+// combination in flight concurrently over one shared look-up space. Each run
+// pulls its trace's columns from a generator source — the canonical classes
+// and seeds of trace.GenerateAll, never materialized — with an O(servers)
+// working set; keepSeries retains the per-interval series. The returned
+// classes identify the traces in run order.
 func runComparison(p EvalParams, keepSeries bool) ([]trace.Class, []*core.Result, []*core.Result, error) {
-	if p.Streaming {
-		return runStreamingComparison(p, keepSeries)
-	}
-	traces, err := trace.GenerateAll(p.Servers, p.Seed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	origs, lbs, err := core.NewFleet().EvaluateContext(context.Background(), traces, p.Config(sched.Original))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	classes := make([]trace.Class, len(traces))
-	for i, tr := range traces {
-		classes[i] = tr.Class
-	}
-	return classes, origs, lbs, nil
-}
-
-// runStreamingComparison is runComparison over generator sources: the same
-// classes, seeds and arithmetic, never materializing a matrix.
-func runStreamingComparison(p EvalParams, keepSeries bool) ([]trace.Class, []*core.Result, []*core.Result, error) {
 	cfgs := trace.CanonicalConfigs(p.Servers)
 	classes := make([]trace.Class, len(cfgs))
 	runs := make([]core.SourceRun, 0, 2*len(cfgs))

@@ -15,11 +15,11 @@ import (
 // one atomic load plus a chain walk, no mutex, no slices.
 func TestChooseHitAllocationFree(t *testing.T) {
 	c := newController(t)
-	if _, _, err := c.Choose(0.3); err != nil {
+	if _, _, err := c.Choose(0.3, c.ColdSource); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := c.Choose(0.3); err != nil {
+		if _, _, err := c.Choose(0.3, c.ColdSource); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -38,7 +38,7 @@ func TestChooseMissAllocationBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		i++
 		u := float64(i) / 1000003
-		if _, _, err := c.Choose(u); err != nil {
+		if _, _, err := c.Choose(u, c.ColdSource); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -47,8 +47,8 @@ func TestChooseMissAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestDecideIntoAllocationFree pins the engine's steady state: a warm cache
-// plus a reused Scratch make a full 25-server control interval allocation-
+// TestDecideIntoAllocationFree pins the engine's steady state: Decide into
+// a reused Scratch with a warm cache makes a full 25-server control interval allocation-
 // free under both schemes.
 func TestDecideIntoAllocationFree(t *testing.T) {
 	c := newController(t)
@@ -58,16 +58,16 @@ func TestDecideIntoAllocationFree(t *testing.T) {
 	}
 	for _, scheme := range []Scheme{Original, LoadBalance} {
 		var sc Scratch
-		if _, err := c.DecideInto(us, scheme, &sc); err != nil {
+		if _, err := c.Decide(us, scheme, c.ColdSource, &sc); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := c.DecideInto(us, scheme, &sc); err != nil {
+			if _, err := c.Decide(us, scheme, c.ColdSource, &sc); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: warm DecideInto = %v allocs/op, want 0", scheme, allocs)
+			t.Errorf("%s: warm Decide = %v allocs/op, want 0", scheme, allocs)
 		}
 	}
 }
@@ -97,7 +97,7 @@ func TestDecideBatchExactChurnAllocationFree(t *testing.T) {
 // coverage lives in TestDecisionCacheConcurrentStores).
 func TestCacheStatsAllocationFree(t *testing.T) {
 	c := newController(t)
-	if _, _, err := c.Choose(0.4); err != nil {
+	if _, _, err := c.Choose(0.4, c.ColdSource); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -110,8 +110,8 @@ func TestCacheStatsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestDecideIntoMatchesDecide pins the aliasing variant to the allocating
-// one bit-for-bit, including after scratch reuse at a different size.
+// TestDecideIntoMatchesDecide pins Decide into a reused Scratch to Decide
+// into a fresh one bit-for-bit, including after reuse at a different size.
 func TestDecideIntoMatchesDecide(t *testing.T) {
 	c := newController(t)
 	var sc Scratch
@@ -121,17 +121,17 @@ func TestDecideIntoMatchesDecide(t *testing.T) {
 		{0.05, 0.6, 0.4},
 	} {
 		for _, scheme := range []Scheme{Original, LoadBalance} {
-			want, err := c.Decide(us, scheme)
+			want, err := c.Decide(us, scheme, c.ColdSource, &Scratch{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.DecideInto(us, scheme, &sc)
+			got, err := c.Decide(us, scheme, c.ColdSource, &sc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Setting != want.Setting || got.PlaneU != want.PlaneU ||
 				got.MaxCPUTemp != want.MaxCPUTemp {
-				t.Fatalf("%s: DecideInto %+v != Decide %+v", scheme, got, want)
+				t.Fatalf("%s: reused-scratch Decide %+v != fresh-scratch Decide %+v", scheme, got, want)
 			}
 			if len(got.PerServerPower) != len(want.PerServerPower) {
 				t.Fatalf("%s: length drift", scheme)

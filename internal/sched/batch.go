@@ -9,11 +9,11 @@ import (
 	"github.com/h2p-sim/h2p/internal/units"
 )
 
-// This file is the batched face of the controller: where DecideSerial runs
-// Steps 1-3 and the per-server evaluation one circulation at a time through
-// scalar look-up calls, DecideBatch takes a whole *column* of utilizations
-// partitioned into groups (one group per circulation) and processes them in
-// column passes:
+// This file is the controller's one decision implementation: instead of
+// running Steps 1-3 and the per-server evaluation one circulation at a time
+// through scalar look-up calls, DecideBatchCold takes a whole *column* of
+// utilizations partitioned into groups (one group per circulation) and
+// processes them in column passes:
 //
 //  1. reduce every group to its plane utilization and quantized cache key,
 //  2. sort-and-compact the keys so each distinct plane probes the sharded
@@ -24,11 +24,13 @@ import (
 //  4. scatter settings back to groups and evaluate the per-server outputs
 //     with the flattened-stencil kernels (lookup.BatchEval).
 //
-// Every step replicates the serial operation sequence exactly — same
-// comparisons, same blend order, same argmax tie-breaking (first strictly
-// greater in cell-ascending order), same error messages — so the results are
-// bit-identical to DecideSerial for any input. The equivalence suites and
-// the fuzzers in this package and internal/core pin that contract.
+// Every step replicates the scalar operation sequence exactly — one Choose
+// per group, then per-server PowerAt and look-up calls: same comparisons,
+// same blend order, same argmax tie-breaking (first strictly greater in
+// cell-ascending order), same error messages — so the results are
+// bit-identical to that scalar loop for any input. The test oracle in
+// oracle_test.go is that loop; the equivalence suites and the fuzzers in
+// this package pin the kernel against it.
 
 // Range addresses one decision group — a circulation's servers — inside a
 // flat utilization column: the half-open window [Lo, Hi). Windows may
@@ -38,9 +40,8 @@ type Range struct {
 }
 
 // GroupError attributes a DecideBatch failure to the lowest-indexed group
-// that failed. Err is exactly the error the serial path would have returned
-// for that group's slice, so unwrapping recovers the scalar behavior
-// (errors.Is/As see through the wrapper).
+// that failed. Err is exactly the error Decide returns for that group's
+// slice (errors.Is/As see through the wrapper).
 type GroupError struct {
 	Group int
 	Err   error
@@ -59,7 +60,7 @@ type BatchScratch struct {
 	// Per-group state, len(ranges) wide.
 	planeU []float64 // raw (unquantized) plane utilization — what Decision.PlaneU reports
 	keys   []uint64  // quantized-plane cache key; valid only where gErrs[g] == nil
-	gErrs  []error   // per-group reduction/validation failure, serial message
+	gErrs  []error   // per-group reduction/validation failure, scalar message
 
 	// Per-unique-key state, one entry per distinct key among the valid
 	// groups, sorted ascending. published starts true for keys already in
@@ -137,28 +138,29 @@ func (bs *BatchScratch) growServers(n int) {
 	bs.outT = bs.outT[:n]
 }
 
-// DecideBatch runs one control interval for every group of the column at
-// once: col holds the concatenated raw per-server utilizations, ranges
-// addresses each group's window, and the g-th Decision is written to out[g]
-// with its per-server slices aliasing scratches[g] (exactly as DecideInto
-// aliases its Scratch). Results are bit-identical to calling DecideSerial
-// per group; the only differences are mechanical — distinct planes are
-// scanned once per column instead of once per group, and the per-server
-// temperatures come from the flattened-stencil batch kernels.
-//
-// On failure the error is a GroupError attributing the lowest-indexed failed
-// group with the exact serial error; out entries for groups before it are
-// valid, the rest are unspecified. The three slice arguments must all be
-// len(ranges); each scratch must be non-nil.
+// DecideBatch is DecideBatchCold at the controller's default ColdSource. It
+// keeps this form only because the benchmark harness (perfbench) calls it;
+// new callers pass the interval's cold side to DecideBatchCold.
 func (c *Controller) DecideBatch(col []float64, ranges []Range, scheme Scheme, bs *BatchScratch, scratches []*Scratch, out []Decision) error {
 	return c.DecideBatchCold(col, ranges, scheme, c.ColdSource, bs, scratches, out)
 }
 
-// DecideBatchCold is DecideBatch against an explicit cold-side temperature —
-// the per-interval value of the facility environment. The cold side joins
-// the plane in the decision-cache key, so a cached decision is always the
-// one an uncached scan at that cold side would make, and runs whose
-// environment is pinned at the default are bit-identical to DecideBatch.
+// DecideBatchCold runs one control interval for every group of the column at
+// once, against the interval's TEG cold side cold: col holds the
+// concatenated raw per-server utilizations, ranges addresses each group's
+// window, and the g-th Decision is written to out[g] with its per-server
+// slices aliasing scratches[g] (exactly as Decide aliases its Scratch).
+// Results are bit-identical to calling Decide per group; the only
+// differences are mechanical — distinct planes are scanned once per column
+// instead of once per group. The cold side joins the plane in the
+// decision-cache key, so a cached decision is always the one an uncached
+// scan at that cold side would make.
+//
+// On failure the error is a GroupError attributing the lowest-indexed failed
+// group with its exact error; out entries for groups before it are valid,
+// the rest are unspecified. A controller not built by NewController fails
+// with ErrUnbuiltController. The three slice arguments must all be
+// len(ranges); each scratch must be non-nil.
 func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Scheme, cold units.Celsius, bs *BatchScratch, scratches []*Scratch, out []Decision) error {
 	if len(scratches) != len(ranges) || len(out) != len(ranges) {
 		return fmt.Errorf("sched: DecideBatch buffers: %d ranges, %d scratches, %d decisions", len(ranges), len(scratches), len(out))
@@ -176,20 +178,11 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		}
 	}
 	if c.curve == nil {
-		// No precomputed power curve (controller assembled without
-		// NewController): decide group-by-group through the scalar path.
-		for g, r := range ranges {
-			d, err := c.DecideSerialCold(col[r.Lo:r.Hi], scheme, cold, scratches[g])
-			if err != nil {
-				return GroupError{Group: g, Err: err}
-			}
-			out[g] = d
-		}
-		return nil
+		return ErrUnbuiltController
 	}
 
 	// Phase 1: reduce each group to its plane and cache key. Validation
-	// follows the serial sequence exactly: empty/unknown-scheme from
+	// follows the scalar sequence exactly: empty/unknown-scheme from
 	// PlaneUtilization first, then Choose's unit-interval check on the raw
 	// plane, then quantization.
 	bs.growGroups(len(ranges))
@@ -233,12 +226,12 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 
 	// Phase 3: resolve all missed planes with the segment-pruned slab scan.
 	// Gather order per plane is cell-ascending — VisitPlane's — so the
-	// strictly-greater argmax picks the exact setting the serial two-pass
+	// strictly-greater argmax picks the exact setting the scalar two-pass
 	// scan picks.
 	if len(bs.missPlane) > 0 {
 		if err := c.scanMisses(bs, cold); err != nil {
 			// Attribute the scan failure to the lowest group holding a
-			// missed key, matching the serial "first circulation to decide
+			// missed key, matching the scalar "first circulation to decide
 			// this plane fails" behavior.
 			for g := range ranges {
 				if bs.gErrs[g] == nil {
@@ -291,9 +284,9 @@ func (c *Controller) DecideBatchCold(col []float64, ranges []Range, scheme Schem
 		}
 		if scheme == LoadBalance {
 			// Balancing makes every server identical: evaluate once and
-			// broadcast, exactly as the serial path does.
+			// broadcast, exactly as the scalar oracle does.
 			u := sc.eff[0]
-			pw := c.PowerAtCold(d.Setting, u, cold)
+			pw := c.PowerAt(d.Setting, u, cold)
 			cp := spec.Power(u)
 			for i := range sc.eff {
 				d.PerServerPower[i] = pw
@@ -344,7 +337,7 @@ func (bs *BatchScratch) missKeysView() []uint64 {
 // gathered through the controller's SegmentIndex — walking only the cells
 // whose stencil envelope can intersect the band, a small fraction of the
 // plane — and the power argmax folds over the gathered rows. Planes with an
-// empty slab fall back to the full below-band sweep, exactly like the serial
+// empty slab fall back to the full below-band sweep, exactly like the scalar
 // second pass. Membership, blend arithmetic, argmax order and the
 // curve-evaluation telemetry all replicate the scalar scan bit for bit.
 func (c *Controller) scanMisses(bs *BatchScratch, cold units.Celsius) error {
@@ -367,7 +360,7 @@ func (c *Controller) scanMisses(bs *BatchScratch, cold units.Celsius) error {
 		}
 		if n == 0 {
 			// The slab is unreachable: optimize over every setting keeping
-			// the die at or below TSafe+Band, as the serial fallback does.
+			// the die at or below TSafe+Band, as the scalar fallback does.
 			if n, err = c.Space.GatherBelow(u, tsHi, bs.candCell, bs.candOut); err != nil {
 				return err
 			}

@@ -56,7 +56,7 @@ func cloneDecision(d Decision) Decision {
 
 // TestDecideBatchMatchesSerial is the sched-layer bit-identity pin: for
 // every scheme and cache-quantum setting, DecideBatch over a multi-group
-// column must reproduce DecideSerial's per-group outcomes exactly — cold
+// column must reproduce the scalar oracle's per-group outcomes exactly — cold
 // cache and warm cache alike.
 func TestDecideBatchMatchesSerial(t *testing.T) {
 	for _, quantum := range []float64{0, 1.0 / 512} {
@@ -77,9 +77,9 @@ func TestDecideBatchMatchesSerial(t *testing.T) {
 					t.Fatalf("q=%v %s round %d: DecideBatch: %v", quantum, scheme, round, err)
 				}
 				for g, r := range ranges {
-					want, err := ref.DecideSerial(col[r.Lo:r.Hi], scheme, &Scratch{})
+					want, err := ref.decideSerial(col[r.Lo:r.Hi], scheme, ref.ColdSource, &Scratch{})
 					if err != nil {
-						t.Fatalf("q=%v %s group %d: DecideSerial: %v", quantum, scheme, g, err)
+						t.Fatalf("q=%v %s group %d: decideSerial: %v", quantum, scheme, g, err)
 					}
 					if !decisionsEqual(out[g], want) {
 						t.Fatalf("q=%v %s round %d group %d: batch %+v != serial %+v",
@@ -108,7 +108,7 @@ func TestDecideBatchCountersMatchSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range ranges {
-		if _, err := ref.DecideSerial(col[r.Lo:r.Hi], Original, &Scratch{}); err != nil {
+		if _, err := ref.decideSerial(col[r.Lo:r.Hi], Original, ref.ColdSource, &Scratch{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestDecideBatchSharesCacheWithSerial(t *testing.T) {
 	c := newController(t)
 	col, ranges := batchColumn(9, 8, 3)
 	for _, r := range ranges {
-		if _, err := c.DecideSerial(col[r.Lo:r.Hi], Original, &Scratch{}); err != nil {
+		if _, err := c.decideSerial(col[r.Lo:r.Hi], Original, c.ColdSource, &Scratch{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,15 +165,15 @@ func TestDecideBatchEmptyGroup(t *testing.T) {
 	}
 }
 
-// TestDecideIntoEmptyTyped pins the adapter unwrap: DecideInto on an empty
-// slice returns the bare sentinel, exactly as the serial path does.
+// TestDecideIntoEmptyTyped pins the adapter unwrap: Decide on an empty slice
+// returns the bare sentinel, exactly as the scalar oracle does.
 func TestDecideIntoEmptyTyped(t *testing.T) {
 	c := newController(t)
-	if _, err := c.DecideInto(nil, Original, &Scratch{}); !errors.Is(err, ErrEmptyUtilizations) {
-		t.Errorf("DecideInto(nil) = %v, want ErrEmptyUtilizations", err)
+	if _, err := c.Decide(nil, Original, c.ColdSource, &Scratch{}); !errors.Is(err, ErrEmptyUtilizations) {
+		t.Errorf("Decide(nil) = %v, want ErrEmptyUtilizations", err)
 	}
-	if _, err := c.DecideSerial(nil, Original, &Scratch{}); !errors.Is(err, ErrEmptyUtilizations) {
-		t.Errorf("DecideSerial(nil) = %v, want ErrEmptyUtilizations", err)
+	if _, err := c.decideSerial(nil, Original, c.ColdSource, &Scratch{}); !errors.Is(err, ErrEmptyUtilizations) {
+		t.Errorf("decideSerial(nil) = %v, want ErrEmptyUtilizations", err)
 	}
 	if _, err := EffectiveUtilizations(nil, Original); !errors.Is(err, ErrEmptyUtilizations) {
 		t.Errorf("EffectiveUtilizations(nil) = %v, want ErrEmptyUtilizations", err)
@@ -194,7 +194,7 @@ func TestDecideBatchErrorsMatchSerial(t *testing.T) {
 		if us[0] < 0 {
 			scheme = LoadBalance
 		}
-		_, wantErr := ref.DecideSerial(us, scheme, &Scratch{})
+		_, wantErr := ref.decideSerial(us, scheme, ref.ColdSource, &Scratch{})
 		if wantErr == nil {
 			t.Fatalf("case %v: serial unexpectedly succeeded", us)
 		}
@@ -226,8 +226,9 @@ func TestDecideBatchValidatesArguments(t *testing.T) {
 	}
 }
 
-// TestDecideBatchWithoutCurve checks the scalar fallback for controllers
-// assembled without NewController (no precomputed power curve).
+// TestDecideBatchWithoutCurve checks that a controller assembled without
+// NewController (no precomputed power curve) fails every decision with the
+// typed ErrUnbuiltController instead of deciding or panicking.
 func TestDecideBatchWithoutCurve(t *testing.T) {
 	full := newController(t)
 	bare := &Controller{
@@ -247,17 +248,14 @@ func TestDecideBatchWithoutCurve(t *testing.T) {
 		scratches[g] = &Scratch{}
 	}
 	out := make([]Decision, len(ranges))
-	if err := bare.DecideBatch(col, ranges, Original, &bs, scratches, out); err != nil {
-		t.Fatal(err)
+	if err := bare.DecideBatchCold(col, ranges, Original, bare.ColdSource, &bs, scratches, out); !errors.Is(err, ErrUnbuiltController) {
+		t.Errorf("DecideBatchCold on a bare controller = %v, want ErrUnbuiltController", err)
 	}
-	for g, r := range ranges {
-		want, err := bare.DecideSerial(col[r.Lo:r.Hi], Original, &Scratch{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !decisionsEqual(out[g], want) {
-			t.Fatalf("group %d: curveless batch %+v != serial %+v", g, out[g], want)
-		}
+	if _, err := bare.Decide(col[:3], LoadBalance, bare.ColdSource, &Scratch{}); !errors.Is(err, ErrUnbuiltController) {
+		t.Errorf("Decide on a bare controller = %v, want ErrUnbuiltController", err)
+	}
+	if _, _, err := bare.Choose(0.5, bare.ColdSource); !errors.Is(err, ErrUnbuiltController) {
+		t.Errorf("Choose on a bare controller = %v, want ErrUnbuiltController", err)
 	}
 }
 
@@ -287,7 +285,7 @@ func TestDecideBatchAllocationFree(t *testing.T) {
 }
 
 // TestDecideBatchOverlappingRanges checks groups may share column windows
-// (DecideInto reuses the whole column as its one group).
+// (Decide reuses the whole column as its one group).
 func TestDecideBatchOverlappingRanges(t *testing.T) {
 	c := newController(t)
 	col := []float64{0.2, 0.6, 0.9, 0.4}

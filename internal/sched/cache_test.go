@@ -315,11 +315,11 @@ func TestControllerCacheFullStaysExact(t *testing.T) {
 	fresh := newController(t)
 	planes := []float64{0.31, 0.62, 0.93, 0.62}
 	for _, u := range planes {
-		s, p, err := c.Choose(u)
+		s, p, err := c.Choose(u, c.ColdSource)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws, wp, err := fresh.Choose(u)
+		ws, wp, err := fresh.Choose(u, fresh.ColdSource)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,10 +368,10 @@ func TestDecideBatchCountersMatchSerialAtCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g, r := range ranges {
-		if _, err := ref.DecideSerial(col[r.Lo:r.Hi], Original, &Scratch{}); err != nil {
+		if _, err := ref.decideSerial(col[r.Lo:r.Hi], Original, ref.ColdSource, &Scratch{}); err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.DecideSerial(col[r.Lo:r.Hi], Original, &Scratch{})
+		want, err := fresh.decideSerial(col[r.Lo:r.Hi], Original, fresh.ColdSource, &Scratch{})
 		if err != nil {
 			t.Fatal(err)
 		}

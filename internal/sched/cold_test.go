@@ -18,38 +18,32 @@ func coldTestController(t *testing.T) *Controller {
 	return c
 }
 
-// TestColdVariantsMatchDefaultAtColdSource pins the refactor's core
-// equivalence: every *Cold entry point evaluated at the controller's own
-// ColdSource is bit-identical to the historical cold-agnostic call.
+// TestColdVariantsMatchDefaultAtColdSource pins the one remaining default-cold
+// form: DecideBatch is bit-identical to DecideBatchCold at the controller's
+// own ColdSource, and to Decide per group at that cold side.
 func TestColdVariantsMatchDefaultAtColdSource(t *testing.T) {
 	a := coldTestController(t)
 	b := coldTestController(t)
-	us := []float64{0.1, 0.45, 0.45, 0.83, 0.99, 0.3}
+	single := coldTestController(t)
+	col := []float64{0.1, 0.45, 0.45, 0.83, 0.99, 0.3}
+	ranges := []Range{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 6}}
 	for _, scheme := range []Scheme{Original, LoadBalance} {
-		var sa, sb Scratch
-		da, errA := a.DecideInto(us, scheme, &sa)
-		db, errB := b.DecideIntoCold(us, scheme, b.ColdSource, &sb)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("%s: error mismatch: %v vs %v", scheme, errA, errB)
+		var bsA, bsB BatchScratch
+		outA, outB := make([]Decision, len(ranges)), make([]Decision, len(ranges))
+		errA := a.DecideBatch(col, ranges, scheme, &bsA, []*Scratch{{}, {}}, outA)
+		errB := b.DecideBatchCold(col, ranges, scheme, b.ColdSource, &bsB, []*Scratch{{}, {}}, outB)
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: DecideBatch err %v, DecideBatchCold err %v", scheme, errA, errB)
 		}
-		if da.Setting != db.Setting || da.PlaneU != db.PlaneU || da.MaxCPUTemp != db.MaxCPUTemp {
-			t.Fatalf("%s: decisions differ: %+v vs %+v", scheme, da, db)
-		}
-		for i := range da.PerServerPower {
-			if da.PerServerPower[i] != db.PerServerPower[i] {
-				t.Fatalf("%s: server %d power %v vs %v", scheme, i, da.PerServerPower[i], db.PerServerPower[i])
+		for g, r := range ranges {
+			d, err := single.Decide(col[r.Lo:r.Hi], scheme, single.ColdSource, &Scratch{})
+			if err != nil {
+				t.Fatalf("%s group %d: Decide: %v", scheme, g, err)
+			}
+			if !decisionsEqual(outA[g], outB[g]) || !decisionsEqual(outA[g], d) {
+				t.Fatalf("%s group %d: DecideBatch %+v, DecideBatchCold %+v, Decide %+v", scheme, g, outA[g], outB[g], d)
 			}
 		}
-	}
-	// Scalar entry points too.
-	sA, pA, errA := a.Choose(0.6)
-	sB, pB, errB := b.ChooseCold(0.6, b.ColdSource)
-	if errA != nil || errB != nil || sA != sB || pA != pB {
-		t.Fatalf("Choose vs ChooseCold: %v/%v/%v vs %v/%v/%v", sA, pA, errA, sB, pB, errB)
-	}
-	set := Setting{Flow: 150, Inlet: 40}
-	if a.PowerAt(set, 0.5) != b.PowerAtCold(set, 0.5, b.ColdSource) {
-		t.Fatal("PowerAt != PowerAtCold at ColdSource")
 	}
 }
 
@@ -58,11 +52,11 @@ func TestColdVariantsMatchDefaultAtColdSource(t *testing.T) {
 // a colder TEG cold side strictly increases the harvest at the same plane.
 func TestColdSideChangesDecisionIndependently(t *testing.T) {
 	c := coldTestController(t)
-	_, pWarm, err := c.ChooseCold(0.6, 26)
+	_, pWarm, err := c.Choose(0.6, 26)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pCold, err := c.ChooseCold(0.6, 12)
+	_, pCold, err := c.Choose(0.6, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +65,8 @@ func TestColdSideChangesDecisionIndependently(t *testing.T) {
 	}
 	// Revisit both colds: the cached entries must reproduce the first pass
 	// exactly (no aliasing between the two).
-	_, pWarm2, _ := c.ChooseCold(0.6, 26)
-	_, pCold2, _ := c.ChooseCold(0.6, 12)
+	_, pWarm2, _ := c.Choose(0.6, 26)
+	_, pCold2, _ := c.Choose(0.6, 12)
 	if pWarm2 != pWarm || pCold2 != pCold {
 		t.Fatalf("cached revisit drifted: warm %v->%v cold %v->%v", pWarm, pWarm2, pCold, pCold2)
 	}
@@ -99,7 +93,7 @@ func TestDecideBatchColdMatchesSerialCold(t *testing.T) {
 			}
 			for g, r := range ranges {
 				var sc Scratch
-				want, err := serialCtl.DecideSerialCold(col[r.Lo:r.Hi], scheme, cold, &sc)
+				want, err := serialCtl.decideSerial(col[r.Lo:r.Hi], scheme, cold, &sc)
 				if err != nil {
 					t.Fatalf("cold=%v %s group %d: %v", cold, scheme, g, err)
 				}

@@ -57,7 +57,7 @@ func fuzzColumn(data []byte, degrade byte) []float64 {
 // arbitrary columns (including NaN and out-of-unit utilizations), group
 // shapes (including empty groups), cache quanta, schemes and fault-degraded
 // servers, DecideBatch must reproduce the looped scalar reference —
-// DecideSerial per group, which DecideInto adapts — exactly: same decisions
+// the decideSerial oracle per group — exactly: same decisions
 // bit for bit, or the same first failing group with the same error text. A
 // second batch round over the now-warm cache must match as well.
 func FuzzDecideBatchEquivalence(f *testing.F) {
@@ -95,13 +95,13 @@ func FuzzDecideBatchEquivalence(f *testing.F) {
 			ranges[g] = Range{Lo: g * len(col) / groups, Hi: (g + 1) * len(col) / groups}
 		}
 
-		// Scalar reference: DecideSerial per group, stopping at the first
+		// Scalar reference: decideSerial per group, stopping at the first
 		// error exactly as the engine's legacy loop would.
 		refs := make([]refDecision, 0, groups)
 		var refErr error
 		refGroup := -1
 		for g, r := range ranges {
-			d, err := serialCtl.DecideSerial(col[r.Lo:r.Hi], scheme, &Scratch{})
+			d, err := serialCtl.decideSerial(col[r.Lo:r.Hi], scheme, serialCtl.ColdSource, &Scratch{})
 			if err != nil {
 				refErr, refGroup = err, g
 				break
@@ -113,22 +113,22 @@ func FuzzDecideBatchEquivalence(f *testing.F) {
 			})
 		}
 
-		// DecideInto must match DecideSerial group-wise (the adapter path).
+		// Decide must match decideSerial group-wise (the single-group adapter).
 		for g, r := range ranges {
 			if g > len(refs) {
 				break
 			}
-			d, err := batchCtl.DecideInto(col[r.Lo:r.Hi], scheme, &Scratch{})
+			d, err := batchCtl.Decide(col[r.Lo:r.Hi], scheme, batchCtl.ColdSource, &Scratch{})
 			if g == len(refs) {
 				if err == nil || refErr == nil || err.Error() != refErr.Error() {
-					t.Fatalf("group %d: DecideInto err %v, DecideSerial err %v", g, err, refErr)
+					t.Fatalf("group %d: Decide err %v, decideSerial err %v", g, err, refErr)
 				}
 				break
 			}
 			if err != nil {
-				t.Fatalf("group %d: DecideInto err %v, serial succeeded", g, err)
+				t.Fatalf("group %d: Decide err %v, serial succeeded", g, err)
 			}
-			requireDecisionsMatch(t, "DecideInto", g, refs[g], d)
+			requireDecisionsMatch(t, "Decide", g, refs[g], d)
 		}
 
 		// Two batch rounds: cold cache, then warm (hits and dedup paths).

@@ -52,9 +52,9 @@ type Controller struct {
 	// Module is the per-server TEG module whose output is maximized.
 	Module *teg.Module
 	// ColdSource is the default TEG cold-side water temperature (~20 °C):
-	// the value the cold-agnostic entry points (Choose, PowerAt, Decide*)
-	// evaluate against. The *Cold variants take the interval's cold side
-	// explicitly — the pluggable environment (internal/env) varies it.
+	// the value to pass as the interval's cold side when no facility
+	// environment varies it (internal/env does), and the one DecideBatch
+	// evaluates against.
 	ColdSource units.Celsius
 	// TSafe is the CPU safe operating temperature (Fig. 13: 62 °C).
 	TSafe units.Celsius
@@ -87,9 +87,9 @@ type Controller struct {
 	met *schedMetrics
 
 	// curve is the precomputed power-vs-outlet-temperature curve
-	// (powercurve.go), derived from Module and ColdSource by NewController.
-	// A controller assembled without NewController leaves it nil and the
-	// candidate scan falls back to the (bit-identical) module path.
+	// (powercurve.go), derived from Module by NewController. A controller
+	// assembled without NewController leaves it nil, and every decision on
+	// it fails with ErrUnbuiltController.
 	curve *powerCurve
 
 	// slabIdx caches the per-segment candidate index the batch miss scan
@@ -152,7 +152,7 @@ func (c *Controller) WarmCache(keys []uint64, cold units.Celsius) int {
 		if u != u || u < 0 || u > 1 {
 			continue
 		}
-		if _, _, err := c.ChooseCold(u, cold); err == nil {
+		if _, _, err := c.Choose(u, cold); err == nil {
 			warmed++
 		}
 	}
@@ -169,10 +169,15 @@ func (c *Controller) quantizePlane(planeU float64) float64 {
 	return math.Min(1, math.Max(0, q))
 }
 
+// ErrUnbuiltController is returned by every decision on a Controller that
+// was not built by NewController: the decision kernels need the power curve
+// NewController precomputes.
+var ErrUnbuiltController = errors.New("sched: controller not built by NewController")
+
 // NewController wires a controller with the paper's defaults for the safety
 // parameters. The module must be fully configured — in particular its
 // FlowDerating — before the call: the controller precomputes the module's
-// power-vs-outlet-temperature curve here, since the cold source and the flow
+// power-vs-outlet-temperature curve here, since the module and the flow
 // axis are fixed for the controller's lifetime.
 func NewController(space *lookup.Space, module *teg.Module, cold units.Celsius) (*Controller, error) {
 	if space == nil {
@@ -187,7 +192,7 @@ func NewController(space *lookup.Space, module *teg.Module, cold units.Celsius) 
 		ColdSource: cold,
 		TSafe:      space.Spec().SafeTemp,
 		Band:       1,
-		curve:      newPowerCurve(space, module, cold),
+		curve:      newPowerCurve(space, module),
 		hits:       telemetry.NewCounter(metricCacheHits),
 		calls:      telemetry.NewCounter(metricCacheCalls),
 		inserts:    telemetry.NewCounter(metricCacheInserts),
@@ -196,15 +201,9 @@ func NewController(space *lookup.Space, module *teg.Module, cold units.Celsius) 
 
 // PowerAt returns the TEG module output of a server running at utilization u
 // under the given cooling setting: the outlet temperature from the look-up
-// space drives the module against the default cold source (Eqs. 2 and 7).
-func (c *Controller) PowerAt(s Setting, u float64) units.Watts {
-	return c.PowerAtCold(s, u, c.ColdSource)
-}
-
-// PowerAtCold is PowerAt against an explicit cold-side temperature — the
-// per-interval value of the facility environment. PowerAtCold(s, u,
-// c.ColdSource) is bit-identical to PowerAt(s, u).
-func (c *Controller) PowerAtCold(s Setting, u float64, cold units.Celsius) units.Watts {
+// space drives the module against the interval's cold-side temperature cold
+// (Eqs. 2 and 7).
+func (c *Controller) PowerAt(s Setting, u float64, cold units.Celsius) units.Watts {
 	outlet := c.Space.OutletTemp(u, s.Flow, s.Inlet)
 	dT := outlet - cold
 	if dT <= 0 {
@@ -214,7 +213,8 @@ func (c *Controller) PowerAtCold(s Setting, u float64, cold units.Celsius) units
 }
 
 // Choose implements Steps 1-3 of Sec. V-B1 for the control-plane utilization
-// planeU (U_max under Original, U_avg under LoadBalance):
+// planeU (U_max under Original, U_avg under LoadBalance) against the
+// interval's TEG cold side cold:
 //
 //  1. draw the utilization plane,
 //  2. intersect it with the safety slab X (CPU temperature within
@@ -227,20 +227,13 @@ func (c *Controller) PowerAtCold(s Setting, u float64, cold units.Celsius) units
 // back to the safety-constrained optimum: maximum TEG power over all
 // settings whose CPU temperature does not exceed TSafe+Band.
 //
-// Outcomes are memoized per (quantized) plane: traces revisit the same
-// plane constantly, and the chosen setting is a pure function of it. A
-// cache hit performs zero allocations and takes no mutex — one atomic load
+// Outcomes are memoized per (quantized plane, cold) pair: traces revisit the
+// same plane constantly, and the chosen setting is a pure function of the
+// pair, so decisions made under different interval environments never alias.
+// A cache hit performs zero allocations and takes no mutex — one atomic load
 // plus a chain walk — so concurrent workers never serialize on a warm
 // controller.
-func (c *Controller) Choose(planeU float64) (Setting, units.Watts, error) {
-	return c.ChooseCold(planeU, c.ColdSource)
-}
-
-// ChooseCold is Choose against an explicit cold-side temperature. Outcomes
-// are memoized per (quantized plane, cold) pair, so decisions made under
-// different interval environments never alias: a cached decision is always
-// exactly the one an uncached scan at that cold side would make.
-func (c *Controller) ChooseCold(planeU float64, cold units.Celsius) (Setting, units.Watts, error) {
+func (c *Controller) Choose(planeU float64, cold units.Celsius) (Setting, units.Watts, error) {
 	setting, power, _, err := c.chooseCached(planeU, cold)
 	return setting, power, err
 }
@@ -281,6 +274,9 @@ func (c *Controller) chooseCached(planeU float64, cold units.Celsius) (Setting, 
 // PlaneIntersection order and the power evaluation is bit-identical, so the
 // chosen setting never drifts from the slice-based implementation.
 func (c *Controller) choose(planeU float64, cold units.Celsius) (Setting, units.Watts, int32, error) {
+	if c.curve == nil {
+		return Setting{}, 0, 0, ErrUnbuiltController
+	}
 	best := Setting{}
 	bestP := units.Watts(-1)
 	bestCell := int32(0)
@@ -289,7 +285,7 @@ func (c *Controller) choose(planeU float64, cold units.Celsius) (Setting, units.
 	err := c.Space.VisitPlaneIntersection(planeU, c.TSafe, c.Band, func(cell int, p lookup.Point) bool {
 		found = true
 		evals++
-		if pw := c.candidatePower(cell, p, cold); pw > bestP {
+		if pw := c.curve.powerAt(cell, p.Outlet, float64(cold)); pw > bestP {
 			best, bestP, bestCell = Setting{Flow: p.Flow, Inlet: p.Inlet}, pw, int32(cell)
 		}
 		return true
@@ -306,7 +302,7 @@ func (c *Controller) choose(planeU float64, cold units.Celsius) (Setting, units.
 			if p.CPUTemp <= c.TSafe+c.Band {
 				found = true
 				evals++
-				if pw := c.candidatePower(cell, p, cold); pw > bestP {
+				if pw := c.curve.powerAt(cell, p.Outlet, float64(cold)); pw > bestP {
 					best, bestP, bestCell = Setting{Flow: p.Flow, Inlet: p.Inlet}, pw, int32(cell)
 				}
 			}
@@ -329,21 +325,6 @@ func (c *Controller) choose(planeU float64, cold units.Celsius) (Setting, units.
 // scalar and batch scans so both report identical errors.
 func errNoSafeSetting(planeU float64) error {
 	return fmt.Errorf("sched: no safe cooling setting for u=%v", planeU)
-}
-
-// candidatePower returns the TEG module output of a streamed candidate,
-// through the precomputed curve when available. Both paths produce the same
-// bits as PowerAtCold on the candidate's setting: the streamed Outlet equals
-// the interpolated OutletTemp on grid-aligned cells.
-func (c *Controller) candidatePower(cell int, p lookup.Point, cold units.Celsius) units.Watts {
-	if c.curve != nil {
-		return c.curve.powerAt(cell, p.Outlet, float64(cold))
-	}
-	dT := p.Outlet - cold
-	if dT <= 0 {
-		return 0
-	}
-	return c.Module.MaxPower(dT, p.Flow)
 }
 
 // ErrEmptyUtilizations is returned when a decision is requested over an
@@ -417,15 +398,15 @@ type Decision struct {
 
 // Scratch holds the reusable per-circulation buffers of the decision path:
 // the effective-utilization working set and the per-server output slices a
-// Decision points into. A Scratch may be reused across DecideInto calls by
-// one goroutine at a time (the parallel engine keeps one per circulation);
-// the zero value is ready to use.
+// Decision points into. A Scratch may be reused across Decide calls by one
+// goroutine at a time (the engine keeps one per circulation); the zero value
+// is ready to use.
 type Scratch struct {
 	eff      []float64
 	power    []units.Watts
 	cpuPower []units.Watts
 
-	// Single-group adapter state: DecideInto routes through DecideBatch with
+	// Single-group adapter state: Decide routes through DecideBatchCold with
 	// the whole slice as one group, so a lone Scratch carries the batch
 	// working set and the fixed-size argument windows the adapter hands over.
 	bs   BatchScratch
@@ -447,32 +428,16 @@ func (sc *Scratch) grow(n int) {
 }
 
 // Decide runs one full control interval for a circulation with the given raw
-// per-server utilizations. The returned Decision owns freshly allocated
-// per-server slices; the engine's steady-state path is DecideInto.
-func (c *Controller) Decide(us []float64, scheme Scheme) (Decision, error) {
-	return c.DecideInto(us, scheme, &Scratch{})
-}
-
-// DecideInto is Decide with caller-owned buffers: the returned Decision's
-// PerServerPower/PerServerCPUPower alias sc and stay valid until the next
-// DecideInto with the same scratch. With a warm decision cache the call
-// performs zero allocations, which is what lets the parallel engine hold
-// its per-interval cost flat. Results are bit-identical to Decide.
+// per-server utilizations, against the interval's TEG cold side cold. The
+// returned Decision's PerServerPower/PerServerCPUPower alias sc and stay
+// valid until the next Decide with the same scratch; callers that need
+// slices they own pass a fresh Scratch. With a warm decision cache the call
+// performs zero allocations.
 //
-// DecideInto is a thin single-group adapter over DecideBatch — the batched
-// column kernel is the one decision implementation — and stays bit-identical
-// to the scalar reference path DecideSerial.
-func (c *Controller) DecideInto(us []float64, scheme Scheme, sc *Scratch) (Decision, error) {
-	return c.DecideIntoCold(us, scheme, c.ColdSource, sc)
-}
-
-// DecideIntoCold is DecideInto against an explicit cold-side temperature.
-func (c *Controller) DecideIntoCold(us []float64, scheme Scheme, cold units.Celsius, sc *Scratch) (Decision, error) {
-	if c.curve == nil {
-		// A controller assembled without NewController has no precomputed
-		// power curve; the batch kernels require it, the scalar path does not.
-		return c.DecideSerialCold(us, scheme, cold, sc)
-	}
+// Decide is a thin single-group adapter over DecideBatchCold — the batched
+// column kernel is the one decision implementation — and returns the group's
+// error unwrapped.
+func (c *Controller) Decide(us []float64, scheme Scheme, cold units.Celsius, sc *Scratch) (Decision, error) {
 	sc.rng[0] = Range{Lo: 0, Hi: len(us)}
 	sc.self[0] = sc
 	if err := c.DecideBatchCold(us, sc.rng[:], scheme, cold, &sc.bs, sc.self[:], sc.dec[:]); err != nil {
@@ -483,67 +448,6 @@ func (c *Controller) DecideIntoCold(us []float64, scheme Scheme, cold units.Cels
 		return Decision{}, err
 	}
 	return sc.dec[0], nil
-}
-
-// DecideSerial is the scalar reference implementation of a control interval:
-// one Choose on the plane utilization, then per-server evaluation through
-// the interpolated look-up calls. The batch kernels are pinned bit-identical
-// to it — it is the referee of the equivalence suites and the fallback for
-// controllers assembled without NewController.
-func (c *Controller) DecideSerial(us []float64, scheme Scheme, sc *Scratch) (Decision, error) {
-	return c.DecideSerialCold(us, scheme, c.ColdSource, sc)
-}
-
-// DecideSerialCold is DecideSerial against an explicit cold-side
-// temperature: the per-interval environment's value flows into the plane
-// choice and every per-server power evaluation, through the exact scalar
-// operation sequence.
-func (c *Controller) DecideSerialCold(us []float64, scheme Scheme, cold units.Celsius, sc *Scratch) (Decision, error) {
-	planeU, err := PlaneUtilization(us, scheme)
-	if err != nil {
-		return Decision{}, err
-	}
-	setting, _, err := c.ChooseCold(planeU, cold)
-	if err != nil {
-		return Decision{}, err
-	}
-	sc.grow(len(us))
-	if err := effectiveInto(sc.eff, us, scheme); err != nil {
-		return Decision{}, err
-	}
-	d := Decision{
-		Scheme:            scheme,
-		PlaneU:            planeU,
-		Setting:           setting,
-		PerServerPower:    sc.power,
-		PerServerCPUPower: sc.cpuPower,
-	}
-	spec := c.Space.Spec()
-	if scheme == LoadBalance {
-		// Balancing makes every server identical: evaluate the (interpolated)
-		// per-server terms once and broadcast, instead of re-running the
-		// trilinear lookups per server. eff[i] are all the same value, so the
-		// broadcast is bit-identical to the per-server loop below.
-		u := sc.eff[0]
-		pw := c.PowerAtCold(setting, u, cold)
-		cp := spec.Power(u)
-		for i := range sc.eff {
-			d.PerServerPower[i] = pw
-			d.PerServerCPUPower[i] = cp
-		}
-		if t := c.Space.CPUTemp(u, setting.Flow, setting.Inlet); t > d.MaxCPUTemp {
-			d.MaxCPUTemp = t
-		}
-		return d, nil
-	}
-	for i, u := range sc.eff {
-		d.PerServerPower[i] = c.PowerAtCold(setting, u, cold)
-		d.PerServerCPUPower[i] = spec.Power(u)
-		if t := c.Space.CPUTemp(u, setting.Flow, setting.Inlet); t > d.MaxCPUTemp {
-			d.MaxCPUTemp = t
-		}
-	}
-	return d, nil
 }
 
 // TotalTEGPower sums the decision's per-server TEG output.

@@ -127,20 +127,60 @@ func TestShardedMatchesUnshardedWithFaults(t *testing.T) {
 	}
 }
 
+// perCirculationRun is the referee of the decide path: every circulation
+// stepped alone, in index order, through its own one-circulation
+// core.ShardRunner (so each decision is a single-group batch call), merged
+// with core.MergeInterval and folded with core.NewAggregator — no run loop,
+// no range batching.
+func perCirculationRun(t *testing.T, cfg core.Config, gcfg trace.GeneratorConfig, seed int64) *core.Result {
+	t.Helper()
+	src, err := trace.NewGeneratorSource(gcfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := src.Meta()
+	runners := make([]*core.ShardRunner, cfg.Circulations(meta.Servers))
+	for ci := range runners {
+		if runners[ci], err = eng.NewShardRunner(meta.Servers, ci, ci+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	agg := core.NewAggregator(meta, cfg, true)
+	col := make([]float64, meta.Servers)
+	parts := make([]core.CirculationInterval, len(runners))
+	errs := make([]error, len(runners))
+	for i := 0; i < meta.Intervals; i++ {
+		if _, err := src.NextColumn(col); err != nil {
+			t.Fatal(err)
+		}
+		for ci, r := range runners {
+			r.Step(col, i, parts[ci:ci+1], errs[ci:ci+1])
+			if errs[ci] != nil {
+				t.Fatalf("interval %d circulation %d: %v", i, ci, errs[ci])
+			}
+		}
+		agg.Fold(core.MergeInterval(col, parts))
+	}
+	return agg.Finalize()
+}
+
 // TestShardedMatchesSerialDecidePath pins the sharded pipeline against the
-// legacy per-circulation decide path (DisableBatch), closing the loop:
-// sharded+batched == unsharded+batched == unsharded+serial.
+// per-circulation referee, closing the loop:
+// sharded+batched == unsharded+batched == each circulation decided alone.
 func TestShardedMatchesSerialDecidePath(t *testing.T) {
 	const servers, seed = 40, 3
 	gcfg := trace.DrasticConfig(servers)
 	genSeed := trace.CanonicalSeed(seed, 0)
 	for _, scheme := range equivSchemes {
 		cfg := shardConfig(scheme)
-		cfg.DisableBatch = true
-		want := unshardedRun(t, cfg, gcfg, genSeed, &core.RunOptions{KeepSeries: true})
+		want := perCirculationRun(t, cfg, gcfg, genSeed)
 		got := shardedRun(t, cfg, gcfg, genSeed, &Options{Shards: 3, KeepSeries: true})
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s serial-decide: sharded result differs from unsharded", scheme)
+			t.Errorf("%s: sharded result differs from the per-circulation referee", scheme)
 		}
 	}
 }

@@ -10,7 +10,7 @@
 //     every instrument method is nil-receiver safe: recording on a nil
 //     Counter, Gauge, Histogram or Tracer is a branch on the receiver and
 //     nothing else — no allocation, no atomic operation, no time read. The
-//     decision hot path (sched.Controller.DecideInto, core.Circulation.Step)
+//     decision hot path (sched.Controller.Decide, core.Circulation.Step)
 //     stays at zero allocations per warm interval, pinned by AllocsPerRun
 //     regression tests.
 //
